@@ -1,5 +1,6 @@
 #include "core/tile_decoder.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "bitstream/bit_reader.h"
@@ -25,9 +26,10 @@ MacroblockPixels gray_mb() {
 }  // namespace
 
 // RefSource over a tile-local reference frame plus its halo of remote
-// macroblocks. Gathers a prediction window that may straddle local/remote
-// macroblocks arbitrarily. Same pixel values as the serial decoder's full
-// frame => identical MC arithmetic => bit-exact reconstruction.
+// macroblocks. A window inside the tile frame is a view into it; one that
+// straddles local/remote macroblocks is gathered piecewise. Same pixel
+// values as the serial decoder's full frame => identical MC arithmetic =>
+// bit-exact reconstruction.
 //
 // Under HaloPolicy::kConceal a missing halo macroblock is filled with
 // mid-gray instead of aborting, and the source records that it concealed;
@@ -40,48 +42,53 @@ class TileDecoder::TileRefSource final : public RefSource {
                 bool ref_tainted)
       : tf_(&tf), halo_(&halo), policy_(policy), ref_tainted_(ref_tainted) {}
 
-  void fetch(int c, int x, int y, int w, int h, uint8_t* dst,
-             int stride) const override {
+  RefWindow fetch(int c, int x, int y, int w, int h,
+                  uint8_t* scratch) const override {
     read_ = true;
-    const int mb_edge = c == 0 ? 16 : 8;  // macroblock edge in this plane
-    for (int r = 0; r < h; ++r) {
-      const int gy = y + r;
-      const int mby = gy / mb_edge;
-      int gx = x;
-      int out = 0;
-      while (out < w) {
-        const int mbx = gx / mb_edge;
-        // Columns remaining inside this macroblock's horizontal extent.
-        const int take = std::min(w - out, (mbx + 1) * mb_edge - gx);
+    if (tf_->contains_rect(c, x, y, w, h)) {
+      // Whole window inside the tile's own frame (the common case): a view
+      // into the tile plane, as a full reference frame gives.
+      return {tf_->pixel(c, x, y), tf_->plane(c).width()};
+    }
+    // The window straddles into the halo: gather it one macroblock cell at a
+    // time, each cell from the tile frame or from its halo entry.
+    const int e = c == 0 ? 16 : 8;  // macroblock edge in this plane
+    for (int mby = y / e; mby * e < y + h; ++mby) {
+      const int y0 = std::max(y, mby * e);
+      const int rows = std::min(y + h, (mby + 1) * e) - y0;
+      for (int mbx = x / e; mbx * e < x + w; ++mbx) {
+        const int x0 = std::max(x, mbx * e);
+        const size_t cols = size_t(std::min(x + w, (mbx + 1) * e) - x0);
+        uint8_t* out = scratch + size_t(y0 - y) * w + (x0 - x);
         const uint8_t* src = nullptr;
+        size_t src_stride = 0;
         if (tf_->contains_mb(mbx, mby)) {
-          src = tf_->pixel(c, gx, gy);
+          src = tf_->pixel(c, x0, y0);
+          src_stride = size_t(tf_->plane(c).width());
         } else {
-          const HaloCache::Entry* e = halo_->find(mbx, mby);
-          if (e == nullptr) {
+          const HaloCache::Entry* en = halo_->find(mbx, mby);
+          if (en == nullptr) {
             if (policy_ == HaloPolicy::kStrict) {
-              PDW_CHECK(e != nullptr)
+              PDW_CHECK(en != nullptr)
                   << "missing halo macroblock (" << mbx << "," << mby
                   << ") plane " << c << " — MEI pre-calculation incomplete";
             }
             concealed_ = true;
-            std::memset(dst + size_t(r) * stride + out, 128, size_t(take));
-            gx += take;
-            out += take;
+            for (int r = 0; r < rows; ++r)
+              std::memset(out + size_t(r) * w, 128, cols);
             continue;
           }
-          if (e->tainted) concealed_ = true;
-          const int ox = gx - mbx * mb_edge;
-          const int oy = gy - mby * mb_edge;
+          if (en->tainted) concealed_ = true;
           const uint8_t* base =
-              c == 0 ? e->px.y : (c == 1 ? e->px.cb : e->px.cr);
-          src = base + oy * mb_edge + ox;
+              c == 0 ? en->px.y : (c == 1 ? en->px.cb : en->px.cr);
+          src = base + (y0 - mby * e) * e + (x0 - mbx * e);
+          src_stride = size_t(e);
         }
-        std::memcpy(dst + size_t(r) * stride + out, src, size_t(take));
-        gx += take;
-        out += take;
+        for (int r = 0; r < rows; ++r)
+          std::memcpy(out + size_t(r) * w, src + r * src_stride, cols);
       }
     }
+    return {scratch, w};
   }
 
   bool read() const { return read_; }
@@ -105,11 +112,11 @@ class TileDecoder::TileRefSource final : public RefSource {
 // recovery invariant relies on.
 class TileDecoder::GrayRefSource final : public RefSource {
  public:
-  void fetch(int, int, int, int w, int h, uint8_t* dst,
-             int stride) const override {
+  RefWindow fetch(int, int, int, int w, int h,
+                  uint8_t* scratch) const override {
     read_ = true;
-    for (int r = 0; r < h; ++r)
-      std::memset(dst + size_t(r) * stride, 128, size_t(w));
+    std::memset(scratch, 128, size_t(w) * size_t(h));
+    return {scratch, w};
   }
   bool read() const { return read_; }
 
@@ -188,6 +195,7 @@ void TileDecoder::rebase(const wall::TileGeometry& geo) {
   // The scratch frame (if any) has the old rect; drop it so the next decode
   // allocates in the new one. Reference frames stay — each carries its own
   // rect, and the pending one still owes the wall a display emission.
+  keep_shown(cur_.get());
   cur_.reset();
   halo_[0].clear();
   halo_[1].clear();
@@ -247,23 +255,30 @@ void TileDecoder::stage_conceal(const MeiInstruction& instr) {
 void TileDecoder::emit(const TileFrame& frame, const TileDisplayInfo& info,
                        const DisplayFn& display) {
   if (info.display_index < 0) return;  // slot before this decoder's stream
-  if (!last_shown_)
-    last_shown_ = std::make_unique<TileFrame>(frame);
-  else
-    *last_shown_ = frame;
+  shown_ = &frame;
   last_shown_epoch_ = info.epoch;
   if (display) display(frame, info);
 }
 
+void TileDecoder::keep_shown(const TileFrame* frame) {
+  if (frame == nullptr || shown_ != frame) return;
+  if (!last_shown_)
+    last_shown_ = std::make_unique<TileFrame>(*frame);
+  else
+    *last_shown_ = *frame;
+  shown_ = last_shown_.get();
+}
+
 void TileDecoder::emit_frozen(int slot, const DisplayFn& display) {
   if (slot < 0) return;
-  if (!last_shown_) {
+  if (shown_ == nullptr) {
     // Nothing was ever shown: freeze to mid-gray.
     last_shown_ =
         std::make_unique<TileFrame>(rect_.x0, rect_.y0, rect_.x1, rect_.y1);
     last_shown_->y().fill(128);
     last_shown_->cb().fill(128);
     last_shown_->cr().fill(128);
+    shown_ = last_shown_.get();
     last_shown_epoch_ = epoch_;
   }
   TileDisplayInfo info;
@@ -272,7 +287,7 @@ void TileDecoder::emit_frozen(int slot, const DisplayFn& display) {
   info.type = PicType::P;
   info.degraded = true;
   info.epoch = last_shown_epoch_;  // the frozen frame's rect, not today's
-  if (display) display(*last_shown_, info);
+  if (display) display(*shown_, info);
 }
 
 void TileDecoder::decode(const SubPicture& sp, const DisplayFn& display) {
@@ -282,6 +297,8 @@ void TileDecoder::decode(const SubPicture& sp, const DisplayFn& display) {
   ctx.ph.temporal_reference = sp.info.temporal_reference;
   ctx.pce = sp.info.to_pce();
 
+  // cur_ is about to be overwritten (or replaced).
+  keep_shown(cur_.get());
   // The reference rotation below recycles retired frames as scratch; after a
   // rebase a recycled frame still carries the previous epoch's rect.
   if (cur_ && (cur_->mb_x0() != rect_.x0 || cur_->mb_y0() != rect_.y0 ||

@@ -153,6 +153,9 @@ class TileDecoder {
   void emit(const mpeg2::TileFrame& frame, const TileDisplayInfo& info,
             const DisplayFn& display);
   void emit_frozen(int slot, const DisplayFn& display);
+  // Snapshot `frame` into last_shown_ if it is the frame last shown; call
+  // before overwriting or destroying a frame buffer.
+  void keep_shown(const mpeg2::TileFrame* frame);
 
   const wall::TileGeometry* geo_;
   int tile_;
@@ -174,6 +177,10 @@ class TileDecoder {
                                // next reference trigger must emit a frozen
                                // frame to keep one-emission-per-slot
   int64_t last_pic_index_ = -1;
+  // The frame last shown, for freezing: one of the frame buffers above while
+  // it is unchanged, else the snapshot last_shown_ (only cur_ is ever
+  // written, so only cur_ needs a snapshot before decoding into it).
+  const mpeg2::TileFrame* shown_ = nullptr;
   std::unique_ptr<mpeg2::TileFrame> last_shown_;
   uint32_t last_shown_epoch_ = 0;
   int last_mb_count_ = 0;

@@ -45,14 +45,27 @@ std::vector<ConcealSpec> ConcealPlanner::finish() const {
   return specs;
 }
 
+namespace {
+
+// Copy the n x n window at (x, y) of plane c into dst (rows of n bytes).
+void fetch_into(const RefSource& ref, int c, int x, int y, int n,
+                uint8_t* dst) {
+  const RefWindow win = ref.fetch(c, x, y, n, n, dst);
+  if (win.data == dst) return;  // gathered in place
+  for (int r = 0; r < n; ++r)
+    std::memcpy(dst + r * n, win.data + size_t(r) * win.stride, size_t(n));
+}
+
+}  // namespace
+
 void conceal_mb(PicType type, const RefSource* fwd, const ConcealSpec& spec,
                 MacroblockPixels* out) {
   if (type != PicType::I && fwd != nullptr) {
     // Zero-MV full-pel copy from the forward reference: exactly the
     // macroblock's own footprint, never out of picture, never into a halo.
-    fwd->fetch(0, spec.mb_x * 16, spec.mb_y * 16, 16, 16, out->y, 16);
-    fwd->fetch(1, spec.mb_x * 8, spec.mb_y * 8, 8, 8, out->cb, 8);
-    fwd->fetch(2, spec.mb_x * 8, spec.mb_y * 8, 8, 8, out->cr, 8);
+    fetch_into(*fwd, 0, spec.mb_x * 16, spec.mb_y * 16, 16, out->y);
+    fetch_into(*fwd, 1, spec.mb_x * 8, spec.mb_y * 8, 8, out->cb);
+    fetch_into(*fwd, 2, spec.mb_x * 8, spec.mb_y * 8, 8, out->cr);
     return;
   }
   std::memset(out->y, spec.fill_y, sizeof(out->y));

@@ -76,6 +76,16 @@ class Plane {
     return data_.data() + size_t(y) * width_;
   }
 
+  // Row y of the h-row band [y, y + h), bounds-checked once for the band.
+  uint8_t* band(int y, int h) {
+    PDW_CHECK_GE(y, 0);
+    PDW_CHECK_LE(y + h, height_);
+    return data_.mutable_data() + size_t(y) * width_;
+  }
+  const uint8_t* band(int y, int h) const {
+    return const_cast<Plane*>(this)->band(y, h);
+  }
+
   uint8_t at(int x, int y) const { return row(y)[x]; }
   void set(int x, int y, uint8_t v) { row(y)[x] = v; }
 
@@ -118,6 +128,15 @@ struct Frame {
 
   friend bool operator==(const Frame&, const Frame&) = default;
 };
+
+// Copy an N x N block between buffers with row strides dst_stride and
+// src_stride (N is 16 or 8: a macroblock's luma or chroma block).
+template <int N>
+inline void copy_block(uint8_t* dst, size_t dst_stride, const uint8_t* src,
+                       size_t src_stride) {
+  for (int r = 0; r < N; ++r)
+    std::memcpy(dst + r * dst_stride, src + r * src_stride, N);
+}
 
 // PSNR of the luma plane (infinity-free: returns 99.0 for identical planes).
 double psnr(const Plane& a, const Plane& b);
@@ -184,6 +203,7 @@ class TileFrame {
   MacroblockPixels extract_mb(int mbx, int mby) const;
   void insert_mb(int mbx, int mby, const MacroblockPixels& px);
 
+  const Plane& plane(int c) const { return c == 0 ? y_ : (c == 1 ? cb_ : cr_); }
   Plane& y() { return y_; }
   Plane& cb() { return cb_; }
   Plane& cr() { return cr_; }

@@ -1,5 +1,6 @@
 #include "mpeg2/mb_parser.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -311,12 +312,22 @@ bool MbSyntaxDecoder::parse_motion_vector(BitReader& r, Macroblock& mb,
 
 bool MbSyntaxDecoder::parse_block(BitReader& r, Macroblock& mb,
                                   int block_index) {
-  int16_t qfs[64];
+  // kFull dequantises each coefficient as it is decoded, straight into the
+  // (pre-zeroed) raster block: no scan-order staging, no dense pass.
   const bool full = mode_ == ParseMode::kFull;
-  if (full) std::memset(qfs, 0, sizeof(qfs));
+  const bool intra = mb.flags & kIntra;
+  int16_t* out = mb.coeff[block_index];
+  const uint8_t* scan = nullptr;
+  const uint8_t* w = nullptr;
+  int scale = 0;
+  int32_t sum = 0;  // §7.4.4 mismatch-control sum
+  if (full) {
+    scan = scan_table(ctx_.pce.alternate_scan).data();
+    w = intra ? ctx_.seq->intra_quant.data() : ctx_.seq->non_intra_quant.data();
+    scale = quantiser_scale(ctx_.pce.q_scale_type, state_.quant_scale_code);
+  }
 
   int n;  // next scan position to fill
-  const bool intra = mb.flags & kIntra;
   if (intra) {
     // DC coefficient: size VLC + differential, predicted per component.
     const int cc = block_index < 4 ? 0 : (block_index == 4 ? 1 : 2);
@@ -331,7 +342,12 @@ bool MbSyntaxDecoder::parse_block(BitReader& r, Macroblock& mb,
       diff = bits >= half ? bits : bits - (1 << size) + 1;
     }
     state_.dc_pred[cc] += diff;
-    if (full) qfs[0] = int16_t(state_.dc_pred[cc]);
+    if (full) {
+      out[0] = int16_t(std::clamp(ctx_.pce.intra_dc_mult() *
+                                      int32_t(int16_t(state_.dc_pred[cc])),
+                                  -2048, 2047));
+      sum = out[0];
+    }
     n = 1;
   } else {
     n = 0;
@@ -349,22 +365,16 @@ bool MbSyntaxDecoder::parse_block(BitReader& r, Macroblock& mb,
     if (c.eob) break;
     n += c.run;
     if (n >= 64) return fail(DecodeErr::kBadValue, r);  // run beyond block
-    if (full) qfs[n] = int16_t(c.level);
+    if (full) {
+      const int pos = scan[n];
+      out[pos] = dequant_coeff(int16_t(c.level), int32_t(w[pos]) * scale,
+                               intra);
+      sum += out[pos];
+    }
     ++n;
   }
 
-  if (!full) return true;
-
-  const auto& scan = scan_table(ctx_.pce.alternate_scan);
-  const int scale =
-      quantiser_scale(ctx_.pce.q_scale_type, state_.quant_scale_code);
-  if (intra) {
-    dequant_intra(qfs, mb.coeff[block_index], ctx_.seq->intra_quant.data(),
-                  scale, ctx_.pce.intra_dc_mult(), scan.data());
-  } else {
-    dequant_non_intra(qfs, mb.coeff[block_index],
-                      ctx_.seq->non_intra_quant.data(), scale, scan.data());
-  }
+  if (full) mismatch_control(out, sum);
   return true;
 }
 

@@ -1,20 +1,17 @@
 #include "mpeg2/motion.h"
 
-#include <cstring>
-
 #include "kernels/kernels.h"
 
 namespace pdw::mpeg2 {
 
-void FrameRefSource::fetch(int c, int x, int y, int w, int h, uint8_t* dst,
-                           int stride) const {
+RefWindow FrameRefSource::fetch(int c, int x, int y, int w, int h,
+                                uint8_t*) const {
   const Plane& p = frame_->plane(c);
   PDW_CHECK_GE(x, 0);
   PDW_CHECK_GE(y, 0);
   PDW_CHECK_LE(x + w, p.width());
   PDW_CHECK_LE(y + h, p.height());
-  for (int r = 0; r < h; ++r)
-    std::memcpy(dst + size_t(r) * stride, p.row(y + r) + x, size_t(w));
+  return {p.row(y) + x, p.width()};
 }
 
 namespace {
@@ -23,7 +20,8 @@ namespace {
 void predict_one_direction(const Macroblock& mb, int s, const RefSource* ref,
                            int mbx, int mby, MacroblockPixels* out) {
   PDW_CHECK(ref != nullptr) << "missing reference for prediction";
-  uint8_t window[17 * 17];
+  const auto& k = kernels::active();
+  uint8_t scratch[17 * 17];
 
   for (int c = 0; c < 3; ++c) {
     const int S = c == 0 ? 16 : 8;
@@ -35,9 +33,9 @@ void predict_one_direction(const Macroblock& mb, int s, const RefSource* ref,
     const int hy = mvy & 1;
     const int x = S * mbx + (mvx >> 1);
     const int y = S * mby + (mvy >> 1);
-    ref->fetch(c, x, y, S + hx, S + hy, window, 17);
+    const RefWindow win = ref->fetch(c, x, y, S + hx, S + hy, scratch);
     uint8_t* dst = c == 0 ? out->y : (c == 1 ? out->cb : out->cr);
-    kernels::active().interp_halfpel(window, 17, dst, S, S, hx, hy);
+    k.interp_halfpel(win.data, win.stride, dst, S, S, hx, hy);
   }
 }
 

@@ -15,24 +15,36 @@
 
 namespace pdw::mpeg2 {
 
+// A w x h block of reference samples: `data` points at its top-left sample,
+// rows are `stride` bytes apart.
+struct RefWindow {
+  const uint8_t* data;
+  int stride;
+};
+
 class RefSource {
  public:
   virtual ~RefSource() = default;
 
-  // Copy the reference window for plane c (0=Y, 1=Cb, 2=Cr): top-left global
-  // coordinate (x, y) in that plane's resolution, size w x h, into dst rows
-  // of `stride` bytes. The window is guaranteed to lie inside the picture
-  // (MPEG-2 motion vectors may not reference out-of-picture samples).
-  virtual void fetch(int c, int x, int y, int w, int h, uint8_t* dst,
-                     int stride) const = 0;
+  // The reference window for plane c (0=Y, 1=Cb, 2=Cr): top-left global
+  // coordinate (x, y) in that plane's resolution, size w x h. The window is
+  // guaranteed to lie inside the picture (MPEG-2 motion vectors may not
+  // reference out-of-picture samples). A source whose own storage holds the
+  // whole window returns a view into it; otherwise it gathers the window
+  // into `scratch` (at least w * h bytes, rows of w bytes) and returns that.
+  // Either way the window stays valid until the reference changes or
+  // scratch is reused.
+  virtual RefWindow fetch(int c, int x, int y, int w, int h,
+                          uint8_t* scratch) const = 0;
 };
 
-// RefSource over a full decoded Frame (serial decoder fast path).
+// RefSource over a full decoded Frame (serial decoder): every window is a
+// view into the frame.
 class FrameRefSource final : public RefSource {
  public:
   explicit FrameRefSource(const Frame& frame) : frame_(&frame) {}
-  void fetch(int c, int x, int y, int w, int h, uint8_t* dst,
-             int stride) const override;
+  RefWindow fetch(int c, int x, int y, int w, int h,
+                  uint8_t* scratch) const override;
 
  private:
   const Frame* frame_;

@@ -7,12 +7,33 @@
 // (MP, 4:2:0, frame pictures) decode correctly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "mpeg2/types.h"
 
 namespace pdw::mpeg2 {
 
+// One dequantised, saturated coefficient (§7.4.2.3, §7.4.3): an intra AC
+// coefficient is 2*QF*W*scale/32, a non-intra one (2*QF + sign(QF))*W*scale/32,
+// both truncating toward zero and saturated to [-2048, 2047]. QF == 0 yields
+// 0. `w_scale` is W[raster position] * quantiser_scale. The intra DC
+// coefficient (dc_mult * QF) does not go through here. The macroblock parser
+// calls this once per nonzero coefficient inside its run/level loop; the
+// dense block functions below call it too, so both stay one formula.
+inline int16_t dequant_coeff(int32_t qf, int32_t w_scale, bool intra) {
+  int32_t t = 2 * qf;
+  if (!intra) t += (qf > 0) - (qf < 0);
+  return int16_t(std::clamp(t * w_scale / 32, -2048, 2047));
+}
+
+// Mismatch control (§7.4.4): if the sum of all dequantised coefficients is
+// even, toggle the least significant bit of F[7][7] (raster position 63).
+inline void mismatch_control(int16_t out[64], int32_t sum) {
+  if ((sum & 1) == 0) out[63] = int16_t(out[63] ^ 1);
+}
+
+// Dense scalar block dequantisation, for the encoder's reconstruction loop.
 // Dequantise an intra block.
 //   qfs:   quantised coefficients in *scan* order (QFS)
 //   out:   dequantised coefficients in *raster* order

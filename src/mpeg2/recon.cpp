@@ -49,22 +49,18 @@ void reconstruct_mb(const Macroblock& mb, const RefSource* fwd,
 }
 
 void store_mb(Frame* frame, int mbx, int mby, const MacroblockPixels& px) {
-  for (int r = 0; r < 16; ++r)
-    std::memcpy(frame->y.row(mby * 16 + r) + mbx * 16, px.y + r * 16, 16);
-  for (int r = 0; r < 8; ++r) {
-    std::memcpy(frame->cb.row(mby * 8 + r) + mbx * 8, px.cb + r * 8, 8);
-    std::memcpy(frame->cr.row(mby * 8 + r) + mbx * 8, px.cr + r * 8, 8);
-  }
+  const size_t ys = size_t(frame->y.width()), cs = size_t(frame->cb.width());
+  copy_block<16>(frame->y.band(mby * 16, 16) + mbx * 16, ys, px.y, 16);
+  copy_block<8>(frame->cb.band(mby * 8, 8) + mbx * 8, cs, px.cb, 8);
+  copy_block<8>(frame->cr.band(mby * 8, 8) + mbx * 8, cs, px.cr, 8);
 }
 
 MacroblockPixels load_mb(const Frame& frame, int mbx, int mby) {
   MacroblockPixels px;
-  for (int r = 0; r < 16; ++r)
-    std::memcpy(px.y + r * 16, frame.y.row(mby * 16 + r) + mbx * 16, 16);
-  for (int r = 0; r < 8; ++r) {
-    std::memcpy(px.cb + r * 8, frame.cb.row(mby * 8 + r) + mbx * 8, 8);
-    std::memcpy(px.cr + r * 8, frame.cr.row(mby * 8 + r) + mbx * 8, 8);
-  }
+  const size_t ys = size_t(frame.y.width()), cs = size_t(frame.cb.width());
+  copy_block<16>(px.y, 16, frame.y.band(mby * 16, 16) + mbx * 16, ys);
+  copy_block<8>(px.cb, 8, frame.cb.band(mby * 8, 8) + mbx * 8, cs);
+  copy_block<8>(px.cr, 8, frame.cr.band(mby * 8, 8) + mbx * 8, cs);
   return px;
 }
 

@@ -1,6 +1,7 @@
 #include "net/fault.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/stats.h"
 
@@ -8,27 +9,47 @@ namespace pdw::net {
 
 namespace {
 
-// Table-driven CRC-32 (IEEE, reflected), table built on first use.
-const uint32_t* crc_table() {
-  static const auto table = [] {
-    static uint32_t t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
+// Slice-by-8 CRC-32 tables (IEEE, reflected). kCrc[0] is the classic
+// byte-at-a-time table; kCrc[k][b] is the CRC state contribution of byte b
+// followed by k zero bytes, so eight table lookups advance eight bytes.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < 8; ++k)
+    for (size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  return t;
+}
+
+constexpr CrcTables kCrc = make_crc_tables();
+
+// Little-endian 32-bit load from unaligned memory.
+inline uint32_t load_le32(const uint8_t* p) {
+  return uint32_t(p[0]) | uint32_t(p[1]) << 8 | uint32_t(p[2]) << 16 |
+         uint32_t(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t crc32(std::span<const uint8_t> data) {
-  const uint32_t* t = crc_table();
+  const uint8_t* p = data.data();
+  size_t n = data.size();
   uint32_t c = 0xFFFFFFFFu;
-  for (uint8_t b : data) c = t[(c ^ b) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = load_le32(p) ^ c;
+    const uint32_t hi = load_le32(p + 4);
+    c = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^
+        kCrc[5][(lo >> 16) & 0xFFu] ^ kCrc[4][lo >> 24];
+    c ^= kCrc[3][hi & 0xFFu] ^ kCrc[2][(hi >> 8) & 0xFFu] ^
+         kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = kCrc[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -19,6 +19,51 @@ void WallAssembler::reset() {
   std::fill(covered_c_.begin(), covered_c_.end(), uint8_t(kHole));
 }
 
+namespace {
+
+// Calls fn(i, n) for each maximal run [i, i + n) of bytes equal to v in
+// cov[0, w).
+template <typename Fn>
+void for_each_run_of(uint8_t v, const uint8_t* cov, int w, Fn fn) {
+  if (w <= 0) return;
+  const uint8_t* end = cov + w;
+  const void* hit = std::memchr(cov, v, size_t(w));
+  while (hit != nullptr) {
+    const uint8_t* p = static_cast<const uint8_t*>(hit);
+    const uint8_t* q = p;
+    while (q < end && *q == v) ++q;
+    fn(int(p - cov), int(q - p));
+    hit = q < end ? std::memchr(q, v, size_t(end - q)) : nullptr;
+  }
+}
+
+}  // namespace
+
+void WallAssembler::copy_span(uint8_t* cov, int w, bool exact,
+                              std::initializer_list<SpanCopy> planes) {
+  if (w <= 0) return;
+  if (exact || std::memchr(cov, kExact, size_t(w)) == nullptr) {
+    // Exact data overwrites anything (exact overlaps were verified equal);
+    // degraded data with no exact pixel in the span fills all of it.
+    for (const SpanCopy& p : planes) std::memcpy(p.dst, p.src, size_t(w));
+    std::memset(cov, exact ? kExact : kDegraded, size_t(w));
+    return;
+  }
+  // Degraded data around exact pixels: fill only the gaps between the exact
+  // runs.
+  int gap = 0;
+  auto fill_gap = [&](int end) {
+    for (const SpanCopy& p : planes)
+      std::memcpy(p.dst + gap, p.src + gap, size_t(end - gap));
+    std::memset(cov + gap, kDegraded, size_t(end - gap));
+  };
+  for_each_run_of(kExact, cov, w, [&](int i, int n) {
+    fill_gap(i);
+    gap = i + n;
+  });
+  fill_gap(w);
+}
+
 void WallAssembler::add_tile(int t, const TileFrame& tile, bool exact) {
   add_tile(t, tile, geo_, exact);
 }
@@ -37,24 +82,20 @@ void WallAssembler::add_tile(int t, const TileFrame& tile,
   // two projectors, which only looks right because both show identical
   // pixels. Degraded data fills holes and degraded pixels but never
   // overwrites exact ones.
+  const int w = std::min(r.x1, geo_.width()) - r.x0;
   for (int y = r.y0; y < std::min(r.y1, geo_.height()); ++y) {
-    uint8_t* dst = frame_.y.row(y);
+    uint8_t* dst = frame_.y.row(y) + r.x0;
     const uint8_t* src = tile.pixel(0, r.x0, y);
-    const int w = std::min(r.x1, geo_.width()) - r.x0;
-    for (int i = 0; i < w; ++i) {
-      uint8_t& cov = covered_[size_t(y) * geo_.width() + r.x0 + i];
-      if (exact) {
-        if (cov == kExact) {
-          PDW_CHECK_EQ(int(dst[r.x0 + i]), int(src[i]))
-              << "overlap mismatch at (" << r.x0 + i << "," << y << ")";
-        }
-        dst[r.x0 + i] = src[i];
-        cov = kExact;
-      } else if (cov != kExact) {
-        dst[r.x0 + i] = src[i];
-        cov = kDegraded;
-      }
+    uint8_t* cov = covered_.data() + size_t(y) * geo_.width() + r.x0;
+    if (exact) {
+      for_each_run_of(kExact, cov, w, [&](int i, int n) {
+        if (std::memcmp(dst + i, src + i, size_t(n)) == 0) return;
+        while (dst[i] == src[i]) ++i;
+        PDW_CHECK_EQ(int(dst[i]), int(src[i]))
+            << "overlap mismatch at (" << r.x0 + i << "," << y << ")";
+      });
     }
+    copy_span(cov, w, exact, {{dst, src}});
   }
 
   // Chroma: half-resolution copy with the same coverage policy.
@@ -63,20 +104,10 @@ void WallAssembler::add_tile(int t, const TileFrame& tile,
   const int cy0 = r.y0 >> 1;
   const int cx1 = std::min((r.x1 + 1) >> 1, cw);
   const int cy1 = std::min((r.y1 + 1) >> 1, geo_.height() >> 1);
-  for (int y = cy0; y < cy1; ++y) {
-    const uint8_t* scb = tile.pixel(1, cx0, y);
-    const uint8_t* scr = tile.pixel(2, cx0, y);
-    uint8_t* dcb = frame_.cb.row(y);
-    uint8_t* dcr = frame_.cr.row(y);
-    for (int i = 0; i < cx1 - cx0; ++i) {
-      uint8_t& cov = covered_c_[size_t(y) * cw + cx0 + i];
-      if (exact || cov != kExact) {
-        dcb[cx0 + i] = scb[i];
-        dcr[cx0 + i] = scr[i];
-        cov = exact ? kExact : kDegraded;
-      }
-    }
-  }
+  for (int y = cy0; y < cy1; ++y)
+    copy_span(covered_c_.data() + size_t(y) * cw + cx0, cx1 - cx0, exact,
+              {{frame_.cb.row(y) + cx0, tile.pixel(1, cx0, y)},
+               {frame_.cr.row(y) + cx0, tile.pixel(2, cx0, y)}});
 }
 
 void WallAssembler::check_coverage() const {

@@ -13,6 +13,8 @@
 // every projector.
 #pragma once
 
+#include <initializer_list>
+
 #include "mpeg2/frame.h"
 #include "wall/geometry.h"
 
@@ -57,6 +59,16 @@ class WallAssembler {
  private:
   // Per-pixel coverage state: 0 = hole, 1 = exact, 2 = degraded.
   enum : uint8_t { kHole = 0, kExact = 1, kDegraded = 2 };
+
+  struct SpanCopy {
+    uint8_t* dst;
+    const uint8_t* src;
+  };
+  // Copy one row span of w pixels from every plane in `planes` (planes that
+  // share one coverage row, e.g. Cb and Cr) under the coverage policy, and
+  // update the span's coverage bytes `cov`.
+  void copy_span(uint8_t* cov, int w, bool exact,
+                 std::initializer_list<SpanCopy> planes);
 
   const TileGeometry& geo_;
   mpeg2::Frame frame_;

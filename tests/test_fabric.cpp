@@ -3,6 +3,7 @@
 
 #include <thread>
 
+#include "common/stats.h"
 #include "net/fabric.h"
 #include "net/reliable.h"
 
@@ -294,6 +295,31 @@ TEST(Crc32, DetectsCorruption) {
   // Known-answer check: CRC-32 of "123456789" is 0xCBF43926.
   const uint8_t kCheck[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(crc32(kCheck), 0xCBF43926u);
+}
+
+// Bit-at-a-time CRC-32 (IEEE, reflected): the definition, with no tables.
+uint32_t crc32_bitwise(const uint8_t* p, size_t n) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtAnyLengthAndAlignment) {
+  // The sliced loop takes eight bytes at a time from unaligned memory; every
+  // length 0..4097 and every start offset mod 8 must still give the
+  // byte-exact IEEE CRC (the wire format depends on it).
+  SplitMix64 rng(0xC3C32);
+  std::vector<uint8_t> buf(4097 + 8);
+  for (auto& b : buf) b = uint8_t(rng.next());
+  for (size_t len = 0; len <= 4097; ++len) {
+    const size_t off = size_t(rng.next_below(8));
+    const uint8_t* p = buf.data() + off;
+    ASSERT_EQ(crc32(std::span<const uint8_t>(p, len)), crc32_bitwise(p, len))
+        << "len " << len << " offset " << off;
+  }
 }
 
 TEST(Reliable, AbandonedHoleIsSkippedAfterTimeout) {

@@ -2,7 +2,10 @@
 // control, and encoder-side invertibility.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <vector>
 
 #include "common/stats.h"
 #include "mpeg2/quant.h"
@@ -140,6 +143,87 @@ TEST_F(QuantTest, AlternateScanPlacesCoefficientsCorrectly) {
   // Alternate scan position 1 is raster position 8.
   EXPECT_NE(out[8], 0);
   EXPECT_EQ(out[1], 0);
+}
+
+// §7.4 written out as the standard states it, densely in raster order:
+// inverse scan, per-coefficient reconstruction, saturation, then mismatch
+// control over the whole block.
+void spec_dequant(const int16_t qfs[64], int16_t out[64], const uint8_t w[64],
+                  int scale, int dc_mult, bool intra, const uint8_t scan[64]) {
+  int32_t qf[64];
+  for (int i = 0; i < 64; ++i) qf[scan[i]] = qfs[i];
+  int32_t sum = 0;
+  for (int v = 0; v < 64; ++v) {
+    int32_t f;
+    if (intra && v == 0) {
+      f = dc_mult * qf[0];
+    } else {
+      const int32_t k = intra ? 0 : (qf[v] > 0 ? 1 : (qf[v] < 0 ? -1 : 0));
+      f = ((2 * qf[v] + k) * w[v] * scale) / 32;
+    }
+    f = std::min(2047, std::max(-2048, f));
+    out[v] = int16_t(f);
+    sum += f;
+  }
+  if (sum % 2 == 0)
+    out[63] = int16_t(out[63] % 2 != 0 ? out[63] - 1 : out[63] + 1);
+}
+
+TEST(DequantFuzz, CoefficientHelperMatchesSpecFormula) {
+  SplitMix64 rng(0x1DC7'0005);
+  for (int iter = 0; iter < 200000; ++iter) {
+    const int32_t qf = iter % 7 == 0 ? (rng.next() & 1 ? 2047 : -2048)
+                                     : int32_t(rng.next_below(4095)) - 2047;
+    const int32_t w = int32_t(rng.next_below(255)) + 1;
+    const int32_t scale = int32_t(rng.next_below(112)) + 1;
+    for (bool intra : {true, false}) {
+      const int32_t k = intra ? 0 : (qf > 0 ? 1 : (qf < 0 ? -1 : 0));
+      const int32_t want =
+          std::min(2047, std::max(-2048, ((2 * qf + k) * w * scale) / 32));
+      ASSERT_EQ(dequant_coeff(qf, w * scale, intra), want)
+          << "qf " << qf << " w " << w << " scale " << scale << " intra "
+          << intra;
+    }
+  }
+}
+
+TEST(DequantFuzz, BlockDequantMatchesSpecFormula) {
+  SplitMix64 rng(0x1DC7'0006);
+  // Both MPEG-2 scans plus random permutations that keep scan[0] == 0.
+  std::vector<std::array<uint8_t, 64>> scans = {kZigzagScan, kAlternateScan};
+  for (int k = 0; k < 3; ++k) {
+    std::array<uint8_t, 64> s;
+    for (int i = 0; i < 64; ++i) s[size_t(i)] = uint8_t(i);
+    for (int i = 63; i > 1; --i)
+      std::swap(s[size_t(i)], s[size_t(rng.next_below(uint32_t(i))) + 1]);
+    scans.push_back(s);
+  }
+  for (int iter = 0; iter < 2000; ++iter) {
+    int16_t qfs[64];
+    const bool extreme = iter % 5 == 0;
+    for (auto& v : qfs) {
+      if (rng.next_below(3) == 0)
+        v = 0;  // typical blocks are mostly zero
+      else
+        v = int16_t(extreme ? (rng.next() & 1 ? 2047 : -2048)
+                            : int(rng.next_below(601)) - 300);
+    }
+    uint8_t w[64];
+    for (auto& v : w) v = uint8_t(rng.next_below(255) + 1);
+    const int scale = int(rng.next_below(112)) + 1;
+    const int dc_mult = 8 >> rng.next_below(4);
+    const uint8_t* scan = scans[size_t(iter) % scans.size()].data();
+    for (bool intra : {true, false}) {
+      int16_t want[64], got[64];
+      spec_dequant(qfs, want, w, scale, dc_mult, intra, scan);
+      if (intra)
+        dequant_intra(qfs, got, w, scale, dc_mult, scan);
+      else
+        dequant_non_intra(qfs, got, w, scale, scan);
+      ASSERT_EQ(0, std::memcmp(want, got, sizeof(want)))
+          << (intra ? "intra" : "non-intra") << " iter " << iter;
+    }
+  }
 }
 
 }  // namespace
