@@ -25,7 +25,7 @@ for tool in "$TRANSCODE" "$PSTOOL" "$WIRESEED"; do
   fi
 done
 
-mkdir -p "$OUT/es" "$OUT/container" "$OUT/wire"
+mkdir -p "$OUT/es" "$OUT/container"
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
@@ -42,8 +42,10 @@ done
 "$PSTOOL" mux "$TMP/seed_0.m2v" "$OUT/container/seed.mpg" > /dev/null
 "$PSTOOL" tsmux "$TMP/seed_0.m2v" "$OUT/container/seed.ts" > /dev/null
 
-# Typed protocol message bodies (one per wire message type) for fuzz_wire.
-"$WIRESEED" "$OUT/wire"
+# Network-facing parsers: typed protocol message bodies (one per wire message
+# type) for fuzz_wire, telemetry frames for fuzz_telemetry and datagram
+# sequences for fuzz_datagram, in $OUT/wire, $OUT/telemetry, $OUT/datagram.
+"$WIRESEED" "$OUT"
 
 # Deterministic bit-flip variants: flip one bit at several byte offsets
 # spread over each seed. Python is only used as a portable byte editor.
@@ -79,8 +81,8 @@ done
 for f in "$OUT/container/seed.mpg" "$OUT/container/seed.ts"; do
   flip_variants "$f" "${f%.*}_$(basename "${f##*.}")"
 done
-for f in "$OUT"/wire/*.wire; do
-  flip_variants "$f" "${f%.wire}"
+for f in "$OUT"/wire/*.wire "$OUT"/telemetry/*.tlm "$OUT"/datagram/*.dgram; do
+  flip_variants "$f" "${f%.*}"
 done
 
 echo "corpus written to $OUT:"

@@ -1,5 +1,6 @@
-// Little-endian byte-level serialization helpers for wire formats
-// (sub-pictures, MEI lists, stream info messages).
+// The one little-endian byte codec behind every wire format: protocol
+// message bodies (proto/wire), sub-pictures, datagram and rendezvous framing
+// (net/) and telemetry frames (obs/telemetry).
 #pragma once
 
 #include <cstdint>
@@ -52,6 +53,10 @@ class ByteWriter {
   size_t pos_ = 0;
 };
 
+// Reader for bytes that may come off a socket: it never throws and never
+// reads out of bounds. The first overrun latches failure; from then on ok()
+// is false, every read returns 0 and bytes() returns an empty span. A parser
+// reads a whole structure and tests done() once at the end.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const uint8_t> data) : data_(data) {}
@@ -65,28 +70,45 @@ class ByteReader {
   double f64() { return read<double>(); }
 
   std::span<const uint8_t> bytes(size_t n) {
-    PDW_CHECK_LE(pos_ + n, data_.size());
-    auto s = data_.subspan(pos_, n);
-    pos_ += n;
-    return s;
+    if (!take(n)) return {};
+    return data_.subspan(pos_ - n, n);
   }
 
+  // Vets an element count read off the wire before anything is sized from
+  // it: false (and failed) when `n` elements of `elem_bytes` each cannot
+  // fit in what is left of the body.
+  bool count(size_t n, size_t elem_bytes) {
+    if (elem_bytes != 0 && n > remaining() / elem_bytes) ok_ = false;
+    return ok_;
+  }
+
+  bool ok() const { return ok_; }
   size_t pos() const { return pos_; }
   size_t remaining() const { return data_.size() - pos_; }
-  bool done() const { return pos_ == data_.size(); }
+  // Everything was read, without an overrun.
+  bool done() const { return ok_ && pos_ == data_.size(); }
 
  private:
+  bool take(size_t n) {
+    if (!ok_ || n > remaining()) {
+      ok_ = false;
+      return false;
+    }
+    pos_ += n;
+    return true;
+  }
+
   template <typename T>
   T read() {
-    PDW_CHECK_LE(pos_ + sizeof(T), data_.size());
-    T v;
-    std::memcpy(&v, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
+    T v{};
+    if (take(sizeof(T)))
+      std::memcpy(&v, data_.data() + pos_ - sizeof(T), sizeof(T));
     return v;
   }
 
   std::span<const uint8_t> data_;
   size_t pos_ = 0;
+  bool ok_ = true;
 };
 
 }  // namespace pdw

@@ -66,10 +66,11 @@ void emit_exchange(net::ReliableEndpoint& ep, HostShared& shared, int src,
   ep.send(dst, std::move(m));
 }
 
-AnyMsg decode_trusted(const net::Message& m) {
+std::optional<AnyMsg> decode_received(const net::Message& m,
+                                      obs::Counter* malformed) {
   std::optional<AnyMsg> msg = proto::decode_any(m.payload);
-  PDW_CHECK(msg.has_value()) << " undecodable wire message type " << m.type;
-  return std::move(*msg);
+  if (!msg && malformed) malformed->add();
+  return msg;
 }
 
 namespace {
@@ -121,7 +122,8 @@ void RootHost::pump(double timeout) {
   if (ep.recv(&m, timeout) == net::ReliableEndpoint::Status::kMessage) {
     obs::FlightRecorder::global().note_wire(false, topo.root(), m.src, m.type,
                                             m.seq, m.aux, m.payload.size());
-    apply(node.on_message(m.src, decode_trusted(m), timer.seconds()));
+    if (auto msg = decode_received(m, inst.malformed_msgs))
+      apply(node.on_message(m.src, std::move(*msg), timer.seconds()));
   }
   ep.take_abandoned();  // sends to nodes that died mid-broadcast
   // Hard transport errors (socket backend: ICMP port-unreachable — the
@@ -209,7 +211,8 @@ void SplitterHost::handle(net::Message& m) {
   if (m.bulk) fabric.post_receive(self());  // recycle the receive buffer
   obs::FlightRecorder::global().note_wire(false, self(), m.src, m.type, m.seq,
                                           m.aux, m.payload.size());
-  apply(node.on_message(m.src, decode_trusted(m), 0.0));
+  if (auto msg = decode_received(m, inst.malformed_msgs))
+    apply(node.on_message(m.src, std::move(*msg), 0.0));
 }
 
 void SplitterHost::pump(double timeout) {
@@ -377,7 +380,8 @@ bool DecoderHost::pump(double timeout) {
       if (m.bulk) fabric.post_receive(self());  // recycle the buffer
       obs::FlightRecorder::global().note_wire(false, self(), m.src, m.type,
                                               m.seq, m.aux, m.payload.size());
-      apply(node.on_message(m.src, decode_trusted(m), timer.seconds()));
+      if (auto msg = decode_received(m, inst.malformed_msgs))
+        apply(node.on_message(m.src, std::move(*msg), timer.seconds()));
       break;
   }
   ep.take_abandoned();
@@ -398,13 +402,20 @@ void DecoderHost::serve(const proto::DecoderNode::OwnedTile& ot, uint32_t i) {
   if (gone || st != proto::DecoderNode::SpState::kReady) return;
   PDW_TRACE_SPAN(obs::span::kServeSp, self(), i);
   WallTimer serve_timer;
-  TileDecoder& d = dec(ot.tile);
   const proto::SpMsg& sp = node.sp(ot.tile);
+  if (!SubPicture::parse(sp.subpicture, &subs[ot.tile])) {
+    // A well-framed SpMsg around an undecodable sub-picture: the tile takes
+    // the skip path (frozen until the next closed-GOP I) and a skip notice
+    // tells the peers not to wait for its halos.
+    if (inst.malformed_msgs) inst.malformed_msgs->add();
+    apply({node.drop_sp(ot.tile, i), {}, std::nullopt, std::nullopt});
+    return;
+  }
+  TileDecoder& d = dec(ot.tile);
   // poll_sp held the sub-picture until its epoch's update arrived, so the
   // geometry is guaranteed present. Rebase before any staging or halo
   // delivery touches the decoder — rebase drops staged per-picture state.
   if (d.epoch() != sp.epoch) d.rebase(table.geometry(sp.epoch));
-  subs[ot.tile] = SubPicture::deserialize(sp.subpicture);
   const PicInfo& pic_info = subs[ot.tile].info;
 
   std::map<int, proto::ExchangeMsg> outgoing;  // by destination tile

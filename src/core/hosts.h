@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/timing.h"
@@ -84,9 +85,11 @@ void emit(net::ReliableEndpoint& ep, HostShared& shared, int src,
 void emit_exchange(net::ReliableEndpoint& ep, HostShared& shared, int src,
                    int dst, const proto::ExchangeMsg& msg);
 
-// Decode a received wire body. The transport CRC-verified it, so a decode
-// failure is a local protocol bug, not damage — crash loudly.
-proto::AnyMsg decode_trusted(const net::Message& m);
+// Decode a received wire body. The transport CRC-verified it, so nullopt
+// means a buggy or hostile sender: the caller drops the message, and it is
+// counted in `malformed` (the malformed_msgs family) when that is non-null.
+std::optional<proto::AnyMsg> decode_received(const net::Message& m,
+                                             obs::Counter* malformed);
 
 // --- Root host (Table 3, root) + health monitor ----------------------------
 

@@ -74,12 +74,12 @@ PicInfo read_pic_info(ByteReader& r) {
   return info;
 }
 
+// State (12+8+2) + skip_bits 1 + addresses/counts (4+2+4+2+4+2) + len 4.
+constexpr size_t kRunHeaderBytes = 22 + 1 + 18 + 4;
+
 }  // namespace
 
-size_t SpRun::header_wire_bytes() const {
-  // state (12+8+2) + skip_bits 1 + addresses/counts (4+2+4+2+4+2) + len 4.
-  return 22 + 1 + 18 + 4;
-}
+size_t SpRun::header_wire_bytes() const { return kRunHeaderBytes; }
 
 size_t SubPicture::wire_bytes() const {
   size_t n = 14 + 4;  // PicInfo + run count
@@ -116,12 +116,13 @@ namespace {
 
 // `parent` non-null: run payloads become views into its block (zero-copy);
 // null: payloads are pooled copies of the spans.
-SubPicture deserialize_impl(std::span<const uint8_t> data,
-                            const mem::Bytes* parent) {
+bool parse_impl(std::span<const uint8_t> data, const mem::Bytes* parent,
+                SubPicture* out) {
   ByteReader r(data);
   SubPicture sp;
   sp.info = read_pic_info(r);
   const uint32_t count = r.u32();
+  if (!r.count(count, kRunHeaderBytes)) return false;
   sp.runs.resize(count);
   for (SpRun& run : sp.runs) {
     run.state = read_state(r);
@@ -134,20 +135,17 @@ SubPicture deserialize_impl(std::span<const uint8_t> data,
     run.trail_skip_count = r.u16();
     const uint32_t len = r.u32();
     const size_t off = r.pos();
-    auto payload = r.bytes(len);
+    const auto payload = r.bytes(len);
+    if (!r.ok()) return false;
     run.payload = parent ? parent->view(off, len)
                          : mem::Bytes::copy_of(payload);
   }
-  PDW_CHECK(r.done()) << "trailing bytes in sub-picture";
-  return sp;
+  if (!r.done()) return false;
+  *out = std::move(sp);
+  return true;
 }
 
 }  // namespace
-
-void SubPicture::serialize(std::vector<uint8_t>* out) const {
-  ByteWriter w(out);
-  serialize_into(&w);
-}
 
 mem::Bytes SubPicture::serialize_pooled() const {
   const size_t n = wire_bytes();
@@ -158,37 +156,18 @@ mem::Bytes SubPicture::serialize_pooled() const {
   return out;
 }
 
-SubPicture SubPicture::deserialize(std::span<const uint8_t> data) {
-  return deserialize_impl(data, nullptr);
+bool SubPicture::parse(std::span<const uint8_t> data, SubPicture* out) {
+  return parse_impl(data, nullptr, out);
+}
+
+bool SubPicture::parse(const mem::Bytes& data, SubPicture* out) {
+  return parse_impl(data.span(), &data, out);
 }
 
 SubPicture SubPicture::deserialize(const mem::Bytes& data) {
-  return deserialize_impl(data.span(), &data);
-}
-
-void StreamInfo::serialize(std::vector<uint8_t>* out) const {
-  ByteWriter w(out);
-  w.i32(seq.width);
-  w.i32(seq.height);
-  w.i32(seq.frame_rate_code);
-  w.i32(seq.bit_rate_value);
-  w.u8(seq.progressive_sequence ? 1 : 0);
-  for (int i = 0; i < 64; ++i) w.u8(seq.intra_quant[size_t(i)]);
-  for (int i = 0; i < 64; ++i) w.u8(seq.non_intra_quant[size_t(i)]);
-}
-
-StreamInfo StreamInfo::deserialize(std::span<const uint8_t> data) {
-  ByteReader r(data);
-  StreamInfo si;
-  si.seq.width = r.i32();
-  si.seq.height = r.i32();
-  si.seq.frame_rate_code = r.i32();
-  si.seq.bit_rate_value = r.i32();
-  si.seq.progressive_sequence = r.u8() != 0;
-  for (int i = 0; i < 64; ++i) si.seq.intra_quant[size_t(i)] = r.u8();
-  for (int i = 0; i < 64; ++i) si.seq.non_intra_quant[size_t(i)] = r.u8();
-  PDW_CHECK(r.done());
-  return si;
+  SubPicture sp;
+  PDW_CHECK(parse(data, &sp)) << "malformed sub-picture";
+  return sp;
 }
 
 }  // namespace pdw::core

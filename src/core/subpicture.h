@@ -76,26 +76,27 @@ struct SubPicture {
   size_t wire_bytes() const;     // serialized size (what goes on the network)
   size_t payload_bytes() const;  // raw slice bytes only (no SPH overhead)
 
-  void serialize(std::vector<uint8_t>* out) const;
   // Exact-size pooled serialization (wire_bytes() sizes the buffer up
   // front; no growth reallocations).
   mem::Bytes serialize_pooled() const;
   // Append the wire encoding to an existing writer (proto::pack_sp encodes
   // straight into a pooled SpMsg body this way).
   void serialize_into(ByteWriter* w) const;
-  // Span flavour copies payloads; the Bytes flavour makes each run payload
-  // a view into `data`'s block (the transport buffer stays pinned until the
-  // last run dies).
-  static SubPicture deserialize(std::span<const uint8_t> data);
+  // Parse received bytes: false on a truncated body, a run count the body
+  // cannot hold or trailing bytes; never throws, and allocates nothing a
+  // body of that size could not describe. Span flavour copies payloads; the
+  // Bytes flavour makes each run payload a view into `data`'s block (the
+  // transport buffer stays pinned until the last run dies).
+  static bool parse(std::span<const uint8_t> data, SubPicture* out);
+  static bool parse(const mem::Bytes& data, SubPicture* out);
+  // parse() for bytes this process packed itself: malformed is a bug and
+  // CHECK-fails.
   static SubPicture deserialize(const mem::Bytes& data);
 };
 
 // Sequence-level information distributed once by the root splitter.
 struct StreamInfo {
   mpeg2::SequenceHeader seq;
-
-  void serialize(std::vector<uint8_t>* out) const;
-  static StreamInfo deserialize(std::span<const uint8_t> data);
 };
 
 }  // namespace pdw::core

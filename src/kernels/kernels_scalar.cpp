@@ -28,24 +28,32 @@ inline int16_t clamp256(int32_t v) {
   return int16_t(std::clamp(v, -256, 255));
 }
 
+// The butterfly works on wrapping 32-bit lanes, like the SIMD levels (whose
+// lane multiply keeps the low 32 bits). In-spec coefficients never wrap;
+// out-of-spec blocks (the full int16 range) then still get one defined
+// result, the same at every level. sra() is the arithmetic shift of the
+// lane read as signed.
+using Lane = uint32_t;
+inline int32_t sra(Lane v, int s) { return int32_t(v) >> s; }
+
 // One row, 11-bit fixed point.
 void idct_row(int16_t* blk) {
-  int32_t x1 = int32_t(blk[4]) << 11;
-  int32_t x2 = blk[6];
-  int32_t x3 = blk[2];
-  int32_t x4 = blk[1];
-  int32_t x5 = blk[7];
-  int32_t x6 = blk[5];
-  int32_t x7 = blk[3];
+  Lane x1 = Lane(blk[4]) << 11;
+  Lane x2 = Lane(blk[6]);
+  Lane x3 = Lane(blk[2]);
+  Lane x4 = Lane(blk[1]);
+  Lane x5 = Lane(blk[7]);
+  Lane x6 = Lane(blk[5]);
+  Lane x7 = Lane(blk[3]);
   if (!(x1 | x2 | x3 | x4 | x5 | x6 | x7)) {
-    const int16_t dc = int16_t(blk[0] << 3);
+    const int16_t dc = int16_t(Lane(blk[0]) << 3);
     for (int i = 0; i < 8; ++i) blk[i] = dc;
     return;
   }
-  int32_t x0 = (int32_t(blk[0]) << 11) + 128;  // +128 for proper rounding
+  Lane x0 = (Lane(blk[0]) << 11) + 128;  // +128 for proper rounding
 
   // First stage.
-  int32_t x8 = W7 * (x4 + x5);
+  Lane x8 = W7 * (x4 + x5);
   x4 = x8 + (W1 - W7) * x4;
   x5 = x8 - (W1 + W7) * x5;
   x8 = W3 * (x6 + x7);
@@ -68,48 +76,48 @@ void idct_row(int16_t* blk) {
   x8 -= x3;
   x3 = x0 + x2;
   x0 -= x2;
-  x2 = (181 * (x4 + x5) + 128) >> 8;
-  x4 = (181 * (x4 - x5) + 128) >> 8;
+  x2 = Lane(sra(181 * (x4 + x5) + 128, 8));
+  x4 = Lane(sra(181 * (x4 - x5) + 128, 8));
 
   // Fourth stage.
-  blk[0] = int16_t((x7 + x1) >> 8);
-  blk[1] = int16_t((x3 + x2) >> 8);
-  blk[2] = int16_t((x0 + x4) >> 8);
-  blk[3] = int16_t((x8 + x6) >> 8);
-  blk[4] = int16_t((x8 - x6) >> 8);
-  blk[5] = int16_t((x0 - x4) >> 8);
-  blk[6] = int16_t((x3 - x2) >> 8);
-  blk[7] = int16_t((x7 - x1) >> 8);
+  blk[0] = int16_t(sra(x7 + x1, 8));
+  blk[1] = int16_t(sra(x3 + x2, 8));
+  blk[2] = int16_t(sra(x0 + x4, 8));
+  blk[3] = int16_t(sra(x8 + x6, 8));
+  blk[4] = int16_t(sra(x8 - x6, 8));
+  blk[5] = int16_t(sra(x0 - x4, 8));
+  blk[6] = int16_t(sra(x3 - x2, 8));
+  blk[7] = int16_t(sra(x7 - x1, 8));
 }
 
 // One column, with final descale and clamp.
 void idct_col(int16_t* blk) {
-  int32_t x1 = int32_t(blk[8 * 4]) << 8;
-  int32_t x2 = blk[8 * 6];
-  int32_t x3 = blk[8 * 2];
-  int32_t x4 = blk[8 * 1];
-  int32_t x5 = blk[8 * 7];
-  int32_t x6 = blk[8 * 5];
-  int32_t x7 = blk[8 * 3];
+  Lane x1 = Lane(blk[8 * 4]) << 8;
+  Lane x2 = Lane(blk[8 * 6]);
+  Lane x3 = Lane(blk[8 * 2]);
+  Lane x4 = Lane(blk[8 * 1]);
+  Lane x5 = Lane(blk[8 * 7]);
+  Lane x6 = Lane(blk[8 * 5]);
+  Lane x7 = Lane(blk[8 * 3]);
   if (!(x1 | x2 | x3 | x4 | x5 | x6 | x7)) {
     const int16_t dc = clamp256((blk[0] + 32) >> 6);
     for (int i = 0; i < 8; ++i) blk[8 * i] = dc;
     return;
   }
-  int32_t x0 = (int32_t(blk[0]) << 8) + 8192;
+  Lane x0 = (Lane(blk[0]) << 8) + 8192;
 
-  int32_t x8 = W7 * (x4 + x5) + 4;
-  x4 = (x8 + (W1 - W7) * x4) >> 3;
-  x5 = (x8 - (W1 + W7) * x5) >> 3;
+  Lane x8 = W7 * (x4 + x5) + 4;
+  x4 = Lane(sra(x8 + (W1 - W7) * x4, 3));
+  x5 = Lane(sra(x8 - (W1 + W7) * x5, 3));
   x8 = W3 * (x6 + x7) + 4;
-  x6 = (x8 - (W3 - W5) * x6) >> 3;
-  x7 = (x8 - (W3 + W5) * x7) >> 3;
+  x6 = Lane(sra(x8 - (W3 - W5) * x6, 3));
+  x7 = Lane(sra(x8 - (W3 + W5) * x7, 3));
 
   x8 = x0 + x1;
   x0 -= x1;
   x1 = W6 * (x3 + x2) + 4;
-  x2 = (x1 - (W2 + W6) * x2) >> 3;
-  x3 = (x1 + (W2 - W6) * x3) >> 3;
+  x2 = Lane(sra(x1 - (W2 + W6) * x2, 3));
+  x3 = Lane(sra(x1 + (W2 - W6) * x3, 3));
   x1 = x4 + x6;
   x4 -= x6;
   x6 = x5 + x7;
@@ -119,17 +127,17 @@ void idct_col(int16_t* blk) {
   x8 -= x3;
   x3 = x0 + x2;
   x0 -= x2;
-  x2 = (181 * (x4 + x5) + 128) >> 8;
-  x4 = (181 * (x4 - x5) + 128) >> 8;
+  x2 = Lane(sra(181 * (x4 + x5) + 128, 8));
+  x4 = Lane(sra(181 * (x4 - x5) + 128, 8));
 
-  blk[8 * 0] = clamp256((x7 + x1) >> 14);
-  blk[8 * 1] = clamp256((x3 + x2) >> 14);
-  blk[8 * 2] = clamp256((x0 + x4) >> 14);
-  blk[8 * 3] = clamp256((x8 + x6) >> 14);
-  blk[8 * 4] = clamp256((x8 - x6) >> 14);
-  blk[8 * 5] = clamp256((x0 - x4) >> 14);
-  blk[8 * 6] = clamp256((x3 - x2) >> 14);
-  blk[8 * 7] = clamp256((x7 - x1) >> 14);
+  blk[8 * 0] = clamp256(sra(x7 + x1, 14));
+  blk[8 * 1] = clamp256(sra(x3 + x2, 14));
+  blk[8 * 2] = clamp256(sra(x0 + x4, 14));
+  blk[8 * 3] = clamp256(sra(x8 + x6, 14));
+  blk[8 * 4] = clamp256(sra(x8 - x6, 14));
+  blk[8 * 5] = clamp256(sra(x0 - x4, 14));
+  blk[8 * 6] = clamp256(sra(x3 - x2, 14));
+  blk[8 * 7] = clamp256(sra(x7 - x1, 14));
 }
 
 void idct_8x8(int16_t block[64]) {

@@ -9,8 +9,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 
+#include "common/bytes.h"
 #include "common/check.h"
 
 namespace pdw::net {
@@ -24,13 +24,6 @@ namespace {
 //   MAP_ACK: magic, kind=4, node u32
 constexpr uint32_t kRvMagic = 0x50445752u;  // 'PDWR'
 constexpr uint32_t kJoin = 1, kWait = 2, kMap = 3, kMapAck = 4;
-
-void put_u32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, 4); }
-uint32_t get_u32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
 
 sockaddr_in to_sockaddr(Endpoint ep) {
   sockaddr_in sa{};
@@ -76,11 +69,12 @@ RendezvousStatus rendezvous_join(Endpoint server, int self, Endpoint local,
   sockaddr_in srv = to_sockaddr(server);
 
   uint8_t join[20];
-  put_u32(join + 0, kRvMagic);
-  put_u32(join + 4, kJoin);
-  put_u32(join + 8, uint32_t(self));
-  put_u32(join + 12, local.ip);
-  put_u32(join + 16, local.port);
+  ByteWriter jw(join, sizeof(join));
+  jw.u32(kRvMagic);
+  jw.u32(kJoin);
+  jw.u32(uint32_t(self));
+  jw.u32(local.ip);
+  jw.u32(local.port);
 
   const double deadline = now_s() + cfg.timeout_s;
   double backoff = cfg.backoff_initial_s;
@@ -104,21 +98,23 @@ RendezvousStatus rendezvous_join(Endpoint server, int self, Endpoint local,
       if (have_map) break;  // quiet after MAP: done
       continue;
     }
-    if (n < 8 || get_u32(buf + 0) != kRvMagic) continue;
-    const uint32_t kind = get_u32(buf + 4);
-    if (kind == kWait) continue;
-    if (kind != kMap || n < 12) continue;
-    const uint32_t count = get_u32(buf + 8);
-    if (int(count) != nodes || size_t(n) < 12 + size_t(count) * 8) continue;
+    ByteReader r({buf, size_t(n)});
+    const uint32_t magic = r.u32();
+    const uint32_t kind = r.u32();
+    const uint32_t count = r.u32();
+    if (magic != kRvMagic || kind != kMap || int64_t(count) != nodes ||
+        !r.count(count, 8))
+      continue;
     out->resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      (*out)[i].ip = get_u32(buf + 12 + i * 8);
-      (*out)[i].port = uint16_t(get_u32(buf + 16 + i * 8));
+    for (Endpoint& ep : *out) {
+      ep.ip = r.u32();
+      ep.port = uint16_t(r.u32());
     }
     uint8_t ack[12];
-    put_u32(ack + 0, kRvMagic);
-    put_u32(ack + 4, kMapAck);
-    put_u32(ack + 8, uint32_t(self));
+    ByteWriter aw(ack, sizeof(ack));
+    aw.u32(kRvMagic);
+    aw.u32(kMapAck);
+    aw.u32(uint32_t(self));
     ::sendto(fd, ack, sizeof(ack), 0, reinterpret_cast<sockaddr*>(&srv),
              sizeof(srv));
     have_map = true;
@@ -157,12 +153,16 @@ RendezvousStatus RendezvousServer::serve(RendezvousConfig cfg) {
     const ssize_t n = recv_one(fd_, buf, sizeof(buf), 0.05, &from);
     const double t = now_s();
 
-    if (n >= 8 && get_u32(buf + 0) == kRvMagic) {
-      const uint32_t kind = get_u32(buf + 4);
-      if (kind == kJoin && n >= 20) {
-        const uint32_t node = get_u32(buf + 8);
-        if (node < uint32_t(nodes_)) {
-          map_[node] = Endpoint{get_u32(buf + 12), uint16_t(get_u32(buf + 16))};
+    ByteReader r({buf, size_t(std::max<ssize_t>(n, 0))});
+    const uint32_t magic = r.u32();
+    const uint32_t kind = r.u32();
+    const uint32_t node = r.u32();
+    if (r.ok() && magic == kRvMagic) {
+      if (kind == kJoin) {
+        const uint32_t ip = r.u32();
+        const uint32_t port = r.u32();
+        if (r.ok() && node < uint32_t(nodes_)) {
+          map_[node] = Endpoint{ip, uint16_t(port)};
           join_source_[node] = Endpoint{ntohl(from.sin_addr.s_addr),
                                         ntohs(from.sin_port)};
           joined_[node] = true;
@@ -170,15 +170,15 @@ RendezvousStatus RendezvousServer::serve(RendezvousConfig cfg) {
             // Not complete yet (this JOIN may have completed it; the next
             // loop iteration pushes the map). Tell the joiner to hold on.
             uint8_t wait[8];
-            put_u32(wait + 0, kRvMagic);
-            put_u32(wait + 4, kWait);
+            ByteWriter ww(wait, sizeof(wait));
+            ww.u32(kRvMagic);
+            ww.u32(kWait);
             ::sendto(fd_, wait, sizeof(wait), 0,
                      reinterpret_cast<sockaddr*>(&from), sizeof(from));
           }
         }
-      } else if (kind == kMapAck && n >= 12) {
-        const uint32_t node = get_u32(buf + 8);
-        if (node < uint32_t(nodes_)) acked_[node] = true;
+      } else if (kind == kMapAck && node < uint32_t(nodes_)) {
+        acked_[node] = true;
       }
     }
 
@@ -192,14 +192,15 @@ RendezvousStatus RendezvousServer::serve(RendezvousConfig cfg) {
       }
       // Push MAP to every unacked joiner (initial send and loss recovery).
       uint8_t map[12 + 8 * 512];
-      put_u32(map + 0, kRvMagic);
-      put_u32(map + 4, kMap);
-      put_u32(map + 8, uint32_t(nodes_));
-      for (int i = 0; i < nodes_; ++i) {
-        put_u32(map + 12 + size_t(i) * 8, handout_[size_t(i)].ip);
-        put_u32(map + 16 + size_t(i) * 8, handout_[size_t(i)].port);
+      ByteWriter mw(map, sizeof(map));
+      mw.u32(kRvMagic);
+      mw.u32(kMap);
+      mw.u32(uint32_t(nodes_));
+      for (const Endpoint& ep : handout_) {
+        mw.u32(ep.ip);
+        mw.u32(ep.port);
       }
-      const size_t map_len = 12 + size_t(nodes_) * 8;
+      const size_t map_len = mw.size();
       for (int i = 0; i < nodes_; ++i) {
         if (acked_[size_t(i)]) continue;
         // MAP goes to the joiner's rendezvous socket (the JOIN source), not

@@ -13,6 +13,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/bytes.h"
+
 namespace pdw::net {
 
 namespace {
@@ -40,24 +42,10 @@ namespace {
 //   44   header_crc     u32  (CRC-32 of bytes [0, 44))
 //   48   payload fragment...
 constexpr uint32_t kMagic = 0x50445746u;  // 'PDWF'
-constexpr size_t kDgramHeaderBytes = 48;
 // Largest fragment payload per datagram (= kMaxFragmentBytes): comfortably
 // under the 64 KiB UDP limit. Receive buffers are sized for this maximum
 // whatever this node's configured send-side fragment size is.
 constexpr size_t kFragBytes = size_t(kMaxFragmentBytes);
-
-void put_u32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, 4); }
-void put_u16(uint8_t* p, uint16_t v) { std::memcpy(p, &v, 2); }
-uint32_t get_u32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-uint16_t get_u16(const uint8_t* p) {
-  uint16_t v;
-  std::memcpy(&v, p, 2);
-  return v;
-}
 
 sockaddr_in to_sockaddr(Endpoint ep) {
   sockaddr_in sa{};
@@ -72,6 +60,56 @@ uint64_t partial_key(int src, uint32_t msg_id) {
 }
 
 }  // namespace
+
+void encode_datagram_header(const DatagramHeader& h, uint8_t* out) {
+  ByteWriter w(out, kDatagramHeaderBytes);
+  w.u32(kMagic);
+  w.i32(h.msg.src);
+  w.i32(h.msg.type);
+  w.u32(h.msg.seq);
+  w.u16(h.msg.aux);
+  w.u8(h.msg.stream);
+  w.u8(h.msg.bulk ? 1 : 0);
+  w.u32(h.msg.tseq);
+  w.u32(h.msg.crc);
+  w.u32(h.msg_id);
+  w.u16(h.frag_index);
+  w.u16(h.frag_count);
+  w.u32(h.total);
+  w.u32(h.frag_off);
+  w.u32(crc32({out, kDatagramHeaderBytes - 4}));
+}
+
+bool parse_datagram_header(std::span<const uint8_t> dgram, int nodes,
+                           DatagramHeader* out) {
+  if (dgram.size() < kDatagramHeaderBytes) return false;
+  ByteReader r(dgram.first(kDatagramHeaderBytes));
+  const uint32_t magic = r.u32();
+  Message& m = out->msg;
+  m.src = r.i32();
+  m.type = r.i32();
+  m.seq = r.u32();
+  m.aux = r.u16();
+  m.stream = r.u8();
+  m.bulk = r.u8() != 0;
+  m.tseq = r.u32();
+  m.crc = r.u32();
+  out->msg_id = r.u32();
+  out->frag_index = r.u16();
+  out->frag_count = r.u16();
+  out->total = r.u32();
+  out->frag_off = r.u32();
+  const uint32_t header_crc = r.u32();
+  const size_t frag_bytes = dgram.size() - kDatagramHeaderBytes;
+  const size_t total = out->total;
+  return magic == kMagic &&
+         header_crc == crc32(dgram.first(kDatagramHeaderBytes - 4)) &&
+         m.src >= 0 && m.src < nodes && out->frag_index < out->frag_count &&
+         total <= kMaxMessageBytes &&
+         total <= size_t(out->frag_count) * kFragBytes &&
+         size_t(out->frag_off) + frag_bytes <= total &&
+         (out->frag_count > 1 || frag_bytes == total);
+}
 
 SocketFabric::SocketFabric(int self, int nodes, SocketFabricConfig cfg)
     : self_(self),
@@ -141,43 +179,35 @@ SendStatus SocketFabric::send(int src, int dst, Message msg) {
     return SendStatus::kOk;
 
   msg.src = src;  // stamped by the fabric, exactly as the in-process one does
-  const uint32_t msg_id = next_msg_id_++;
   const size_t total = msg.payload.size();
-  const uint16_t frag_count =
+  PDW_CHECK_LE(total, kMaxMessageBytes);
+  const size_t wire_bytes = msg.wire_bytes();
+  DatagramHeader h;
+  h.msg = std::move(msg);
+  h.msg_id = next_msg_id_++;
+  h.frag_count =
       uint16_t(total == 0 ? 1 : (total + frag_bytes_ - 1) / frag_bytes_);
+  h.total = uint32_t(total);
   sockaddr_in sa = to_sockaddr(peers_[size_t(dst)]);
 
-  uint8_t dgram[kDgramHeaderBytes + kFragBytes];
-  put_u32(dgram + 0, kMagic);
-  put_u32(dgram + 4, uint32_t(msg.src));
-  put_u32(dgram + 8, uint32_t(msg.type));
-  put_u32(dgram + 12, msg.seq);
-  put_u16(dgram + 16, msg.aux);
-  dgram[18] = msg.stream;
-  dgram[19] = msg.bulk ? 1 : 0;
-  put_u32(dgram + 20, msg.tseq);
-  put_u32(dgram + 24, msg.crc);
-  put_u32(dgram + 28, msg_id);
-  put_u16(dgram + 34, frag_count);
-  put_u32(dgram + 36, uint32_t(total));
-
-  for (uint16_t i = 0; i < frag_count; ++i) {
+  uint8_t dgram[kDatagramHeaderBytes + kFragBytes];
+  for (uint16_t i = 0; i < h.frag_count; ++i) {
     const size_t off = size_t(i) * frag_bytes_;
     const size_t n = std::min(frag_bytes_, total - off);
-    put_u16(dgram + 32, i);
-    put_u32(dgram + 40, uint32_t(off));
-    put_u32(dgram + 44,
-            crc32(std::span<const uint8_t>(dgram, kDgramHeaderBytes - 4)));
-    if (n > 0) std::memcpy(dgram + kDgramHeaderBytes, msg.payload.data() + off, n);
-    ::sendto(fd_, dgram, kDgramHeaderBytes + n, 0,
+    h.frag_index = i;
+    h.frag_off = uint32_t(off);
+    encode_datagram_header(h, dgram);
+    if (n > 0)
+      std::memcpy(dgram + kDatagramHeaderBytes, h.msg.payload.data() + off, n);
+    ::sendto(fd_, dgram, kDatagramHeaderBytes + n, 0,
              reinterpret_cast<sockaddr*>(&sa), sizeof(sa));
     m_dgram_tx_->add();
   }
 
   {
     std::lock_guard<std::mutex> lock(traffic_mu_);
-    traffic_.add(self_, dst, msg.wire_bytes());
-    counters_[size_t(self_)].sent_bytes += msg.wire_bytes();
+    traffic_.add(self_, dst, wire_bytes);
+    counters_[size_t(self_)].sent_bytes += wire_bytes;
     ++counters_[size_t(self_)].sent_messages;
   }
   return SendStatus::kOk;
@@ -209,45 +239,20 @@ void SocketFabric::finish_message(Message msg) {
   queued_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void SocketFabric::ingest(const uint8_t* data, size_t len) {
-  if (len < kDgramHeaderBytes || get_u32(data + 0) != kMagic ||
-      get_u32(data + 44) !=
-          crc32(std::span<const uint8_t>(data, kDgramHeaderBytes - 4))) {
+void SocketFabric::ingest(std::span<const uint8_t> dgram) {
+  DatagramHeader h;
+  if (!parse_datagram_header(dgram, nodes_, &h)) {
     m_rx_drops_->add();
     return;
   }
-  Message msg;
-  msg.src = int(get_u32(data + 4));
-  msg.type = int(get_u32(data + 8));
-  msg.seq = get_u32(data + 12);
-  msg.aux = get_u16(data + 16);
-  msg.stream = data[18];
-  msg.bulk = data[19] != 0;
-  msg.tseq = get_u32(data + 20);
-  msg.crc = get_u32(data + 24);
-  const uint32_t msg_id = get_u32(data + 28);
-  const uint16_t frag_index = get_u16(data + 32);
-  const uint16_t frag_count = get_u16(data + 34);
-  const size_t total = get_u32(data + 36);
-  const size_t frag_off = get_u32(data + 40);
-  const size_t frag_bytes = len - kDgramHeaderBytes;
-  if (msg.src < 0 || msg.src >= nodes_ || frag_count == 0 ||
-      frag_index >= frag_count || frag_off + frag_bytes > total) {
-    m_rx_drops_->add();
+  const auto frag = dgram.subspan(kDatagramHeaderBytes);
+  if (h.frag_count == 1) {
+    h.msg.payload = mem::Bytes::copy_of(frag);
+    finish_message(std::move(h.msg));
     return;
   }
 
-  if (frag_count == 1) {
-    if (frag_bytes != total) {
-      m_rx_drops_->add();
-      return;
-    }
-    msg.payload = mem::Bytes::copy_of({data + kDgramHeaderBytes, frag_bytes});
-    finish_message(std::move(msg));
-    return;
-  }
-
-  const uint64_t key = partial_key(msg.src, msg_id);
+  const uint64_t key = partial_key(h.msg.src, h.msg_id);
   auto it = partial_.find(key);
   if (it == partial_.end()) {
     // Evict stale partials (all their remaining fragments were lost; the
@@ -265,26 +270,26 @@ void SocketFabric::ingest(const uint8_t* data, size_t len) {
       }
     }
     Reassembly r;
-    r.body = mem::Bytes::alloc(total);
-    r.have.assign(frag_count, false);
-    r.missing = frag_count;
-    r.header = msg;
+    r.body = mem::Bytes::alloc(h.total);
+    r.have.assign(h.frag_count, false);
+    r.missing = h.frag_count;
+    r.header = std::move(h.msg);
     r.first_seen = now();
     it = partial_.emplace(key, std::move(r)).first;
     partial_count_.fetch_add(1, std::memory_order_relaxed);
   }
   Reassembly& r = it->second;
-  if (r.body.size() != total || r.have.size() != frag_count) {
+  if (r.body.size() != h.total || r.have.size() != h.frag_count) {
     // A msg_id collision with inconsistent framing: distrust both.
     partial_.erase(it);
     partial_count_.fetch_sub(1, std::memory_order_relaxed);
     m_rx_drops_->add();
     return;
   }
-  if (r.have[frag_index]) return;  // duplicated fragment
-  std::memcpy(r.body.mutable_data() + frag_off, data + kDgramHeaderBytes,
-              frag_bytes);
-  r.have[frag_index] = true;
+  if (r.have[h.frag_index]) return;  // duplicated fragment
+  if (!frag.empty())
+    std::memcpy(r.body.mutable_data() + h.frag_off, frag.data(), frag.size());
+  r.have[h.frag_index] = true;
   if (--r.missing == 0) {
     Message out = r.header;
     out.payload = std::move(r.body);
@@ -295,7 +300,7 @@ void SocketFabric::ingest(const uint8_t* data, size_t len) {
 }
 
 void SocketFabric::drain_socket() {
-  uint8_t buf[kDgramHeaderBytes + kFragBytes];
+  uint8_t buf[kDatagramHeaderBytes + kFragBytes];
   while (true) {
     const ssize_t n = ::recvfrom(fd_, buf, sizeof(buf), 0, nullptr, nullptr);
     if (n < 0) {
@@ -303,7 +308,7 @@ void SocketFabric::drain_socket() {
       break;  // EAGAIN: drained
     }
     m_dgram_rx_->add();
-    ingest(buf, size_t(n));
+    ingest({buf, size_t(n)});
   }
   drain_errqueue();
 }

@@ -33,6 +33,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "net/fabric.h"
@@ -56,6 +57,35 @@ inline constexpr uint32_t kLoopbackIp = 0x7f000001u;
 // coded pictures.
 inline constexpr int kMinFragmentBytes = 4096;
 inline constexpr int kMaxFragmentBytes = 56 * 1024;
+
+// Largest message payload the fabric carries: far above any coded picture
+// of the walls we drive. send() CHECKs it, and a receiver drops a datagram
+// announcing more, so a forged header cannot make it allocate more.
+inline constexpr size_t kMaxMessageBytes = size_t(16) << 20;
+
+// Every datagram starts with this header (layout in socket_fabric.cpp); the
+// fragment payload follows.
+inline constexpr size_t kDatagramHeaderBytes = 48;
+
+struct DatagramHeader {
+  Message msg;             // envelope fields; the payload stays empty
+  uint32_t msg_id = 0;     // per-sender reassembly key
+  uint16_t frag_index = 0;
+  uint16_t frag_count = 0;
+  uint32_t total = 0;      // payload bytes of the whole message
+  uint32_t frag_off = 0;   // this fragment's offset into the payload
+};
+
+// Writes `h` as the first kDatagramHeaderBytes of `out`, header CRC last.
+void encode_datagram_header(const DatagramHeader& h, uint8_t* out);
+
+// Parses one received datagram's header for a `nodes`-node fabric. False on
+// a short datagram, a bad magic or header CRC, an unknown source, or
+// fragment framing no sender produces: an index past the count, a fragment
+// past the total, a single fragment short of it, or a total above
+// kMaxMessageBytes or above what frag_count fragments can carry.
+bool parse_datagram_header(std::span<const uint8_t> dgram, int nodes,
+                           DatagramHeader* out);
 
 struct SocketFabricConfig {
   // Socket buffer depth requested via SO_RCVBUF/SO_SNDBUF. Loopback bursts
@@ -115,6 +145,12 @@ class SocketFabric final : public FabricBackend {
     return credit_drops_.load(std::memory_order_relaxed);
   }
 
+  // Take one received datagram: drop it (counted in socket_rx_drops) unless
+  // parse_datagram_header accepts it, else queue the message once all its
+  // fragments are in. The socket receive path; public so tests and the fuzz
+  // harness can hand it forged datagrams. Owner thread only.
+  void ingest(std::span<const uint8_t> dgram);
+
  private:
   struct Reassembly {
     mem::Bytes body;
@@ -127,8 +163,6 @@ class SocketFabric final : public FabricBackend {
   double now() const;
   // Nonblocking drain of every datagram currently queued on the socket.
   void drain_socket();
-  // Parse one datagram; queue the (possibly reassembled) message.
-  void ingest(const uint8_t* data, size_t len);
   void finish_message(Message msg);
   // Pull ICMP errors off the error queue into peer_errors_.
   void drain_errqueue();

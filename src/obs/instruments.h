@@ -13,22 +13,26 @@ namespace pdw::obs {
 
 struct RootInstruments {
   Histogram* go_ahead_wait_ns = nullptr;
+  Counter* malformed_msgs = nullptr;
 
   void resolve(MetricsRegistry& r, int node, int stream) {
     go_ahead_wait_ns =
         &r.histogram(family::kGoAheadWaitNs, Labels{node, stream});
+    malformed_msgs = &r.counter(family::kMalformedMsgs, Labels{node, stream});
   }
 };
 
 struct SplitterInstruments {
   Counter* pictures_split = nullptr;
   Counter* sp_bytes_sent = nullptr;
+  Counter* malformed_msgs = nullptr;
   Histogram* split_ns = nullptr;
 
   void resolve(MetricsRegistry& r, int node, int stream) {
     const Labels l{node, stream};
     pictures_split = &r.counter(family::kPicturesSplit, l);
     sp_bytes_sent = &r.counter(family::kSpBytesSent, l);
+    malformed_msgs = &r.counter(family::kMalformedMsgs, l);
     split_ns = &r.histogram(family::kSplitNs, l);
   }
 };
@@ -39,6 +43,7 @@ struct DecoderInstruments {
   Counter* exchange_bytes_sent = nullptr;
   Counter* exchange_bytes_recv = nullptr;
   Counter* concealed_mbs = nullptr;
+  Counter* malformed_msgs = nullptr;
   Histogram* decode_ns = nullptr;
   Histogram* serve_ns = nullptr;
 
@@ -49,6 +54,7 @@ struct DecoderInstruments {
     exchange_bytes_sent = &r.counter(family::kExchangeBytesSent, l);
     exchange_bytes_recv = &r.counter(family::kExchangeBytesRecv, l);
     concealed_mbs = &r.counter(family::kConcealedMbs, l);
+    malformed_msgs = &r.counter(family::kMalformedMsgs, l);
     decode_ns = &r.histogram(family::kDecodeNs, l);
     serve_ns = &r.histogram(family::kServeNs, l);
   }

@@ -217,6 +217,11 @@ inline constexpr char kControlBytes[] = "control_bytes";
 inline constexpr char kRetransmits[] = "retransmits";
 inline constexpr char kAbandonedSends[] = "abandoned_sends";
 inline constexpr char kCrcDrops[] = "crc_drops";
+// Received bodies a host dropped as undecodable: a protocol body that fails
+// proto::decode_any, or an SpMsg whose sub-picture fails SubPicture::parse
+// (that tile's picture then takes the skip path). The transport CRC already
+// passed, so any count means a buggy or hostile sender.
+inline constexpr char kMalformedMsgs[] = "malformed_msgs";
 // Buffer-pool telemetry (src/mem). Misses are exactly the hot-path mallocs
 // the pools exist to eliminate: the steady-state acceptance gate asserts the
 // miss delta over a warmed-up run is zero. Global-registry only (pool state

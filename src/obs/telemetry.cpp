@@ -12,63 +12,11 @@
 #include <cstring>
 #include <string_view>
 
+#include "common/bytes.h"
+
 namespace pdw::obs {
 
 namespace {
-
-void put_u8(std::vector<uint8_t>& b, uint8_t v) { b.push_back(v); }
-void put_u16(std::vector<uint8_t>& b, uint16_t v) {
-  b.push_back(uint8_t(v));
-  b.push_back(uint8_t(v >> 8));
-}
-void put_u32(std::vector<uint8_t>& b, uint32_t v) {
-  put_u16(b, uint16_t(v));
-  put_u16(b, uint16_t(v >> 16));
-}
-void put_u64(std::vector<uint8_t>& b, uint64_t v) {
-  put_u32(b, uint32_t(v));
-  put_u32(b, uint32_t(v >> 32));
-}
-
-// Bounds-checked little-endian reader; any overrun latches fail.
-struct Reader {
-  const uint8_t* p;
-  size_t n;
-  size_t off = 0;
-  bool fail = false;
-
-  bool need(size_t k) {
-    if (n - off < k) {
-      fail = true;
-      return false;
-    }
-    return true;
-  }
-  uint8_t u8() {
-    if (!need(1)) return 0;
-    return p[off++];
-  }
-  uint16_t u16() {
-    if (!need(2)) return 0;
-    uint16_t v = uint16_t(p[off]) | uint16_t(p[off + 1]) << 8;
-    off += 2;
-    return v;
-  }
-  uint32_t u32() {
-    uint32_t lo = u16(), hi = u16();
-    return lo | hi << 16;
-  }
-  uint64_t u64() {
-    uint64_t lo = u32(), hi = u32();
-    return lo | hi << 32;
-  }
-  std::string_view bytes(size_t k) {
-    if (!need(k)) return {};
-    std::string_view s(reinterpret_cast<const char*>(p + off), k);
-    off += k;
-    return s;
-  }
-};
 
 constexpr size_t kHeaderBytes = 4 + 2 + 2 + 8 + 4 + 2;
 constexpr size_t kMaxSpansPerRecord = 2000;  // 31 B each, fits a u16 length
@@ -92,10 +40,11 @@ std::vector<uint8_t> encode_frame(const TelemetryFrame& f) {
   for (const auto& s : f.spans) intern(s.name);
 
   std::vector<uint8_t> body;
+  ByteWriter w(&body);
   uint16_t records = 0;
   auto begin_record = [&](TelemetryRecordType t) {
-    put_u8(body, uint8_t(t));
-    put_u16(body, 0);  // length, patched by end_record
+    w.u8(uint8_t(t));
+    w.u16(0);  // length, patched by end_record
     ++records;
     return body.size();
   };
@@ -107,68 +56,68 @@ std::vector<uint8_t> encode_frame(const TelemetryFrame& f) {
 
   if (!strings.empty()) {
     const size_t at = begin_record(TelemetryRecordType::kStrings);
-    put_u16(body, uint16_t(strings.size()));
+    w.u16(uint16_t(strings.size()));
     for (std::string_view s : strings) {
       const size_t len = std::min<size_t>(s.size(), 255);
-      put_u8(body, uint8_t(len));
-      body.insert(body.end(), s.begin(), s.begin() + long(len));
+      w.u8(uint8_t(len));
+      w.bytes({reinterpret_cast<const uint8_t*>(s.data()), len});
     }
     end_record(at);
   }
   if (f.hello) {
     const size_t at = begin_record(TelemetryRecordType::kHello);
-    put_u32(body, f.hello->os_pid);
-    put_u16(body, f.hello->k);
-    put_u16(body, f.hello->tiles);
-    put_u16(body, f.hello->nodes);
-    put_u16(body, uint16_t(f.hello->hosted.size()));
-    for (uint16_t n : f.hello->hosted) put_u16(body, n);
+    w.u32(f.hello->os_pid);
+    w.u16(f.hello->k);
+    w.u16(f.hello->tiles);
+    w.u16(f.hello->nodes);
+    w.u16(uint16_t(f.hello->hosted.size()));
+    for (uint16_t n : f.hello->hosted) w.u16(n);
     end_record(at);
   }
   for (const auto& pr : f.probes) {
     const size_t at = begin_record(TelemetryRecordType::kClockProbe);
-    put_u32(body, pr.seq);
-    put_u64(body, pr.t0);
-    put_u32(body, pr.reply_to.ip);
-    put_u16(body, pr.reply_to.port);
+    w.u32(pr.seq);
+    w.u64(pr.t0);
+    w.u32(pr.reply_to.ip);
+    w.u16(pr.reply_to.port);
     end_record(at);
   }
   for (const auto& rp : f.replies) {
     const size_t at = begin_record(TelemetryRecordType::kClockReply);
-    put_u32(body, rp.seq);
-    put_u64(body, rp.t0);
-    put_u64(body, rp.t1);
-    put_u64(body, rp.t2);
+    w.u32(rp.seq);
+    w.u64(rp.t0);
+    w.u64(rp.t1);
+    w.u64(rp.t2);
     end_record(at);
   }
   if (f.offset) {
     const size_t at = begin_record(TelemetryRecordType::kOffset);
-    put_u64(body, uint64_t(f.offset->offset_ns));
-    put_u64(body, f.offset->min_rtt_ns);
-    put_u32(body, f.offset->samples);
-    put_u8(body, f.offset->valid);
+    w.u64(uint64_t(f.offset->offset_ns));
+    w.u64(f.offset->min_rtt_ns);
+    w.u32(f.offset->samples);
+    w.u8(f.offset->valid);
     end_record(at);
   }
   for (const auto& m : f.metrics) {
     const size_t at = begin_record(TelemetryRecordType::kMetric);
-    put_u16(body, index.at(m.family));
-    put_u8(body, uint8_t(m.kind));
-    put_u16(body, uint16_t(m.node));
-    put_u16(body, uint16_t(m.stream));
+    w.u16(index.at(m.family));
+    w.u8(uint8_t(m.kind));
+    w.u16(uint16_t(m.node));
+    w.u16(uint16_t(m.stream));
     switch (m.kind) {
       case MetricKind::kCounter:
-        put_u64(body, m.count);
+        w.u64(m.count);
         break;
       case MetricKind::kGauge:
-        put_u64(body, uint64_t(m.gauge));
+        w.u64(uint64_t(m.gauge));
         break;
       case MetricKind::kHistogram:
-        put_u64(body, m.count);
-        put_u64(body, m.sum);
-        put_u8(body, uint8_t(m.buckets.size()));
+        w.u64(m.count);
+        w.u64(m.sum);
+        w.u8(uint8_t(m.buckets.size()));
         for (const auto& [idx, cnt] : m.buckets) {
-          put_u8(body, idx);
-          put_u64(body, cnt);
+          w.u8(idx);
+          w.u64(cnt);
         }
         break;
     }
@@ -178,16 +127,16 @@ std::vector<uint8_t> encode_frame(const TelemetryFrame& f) {
     const size_t count =
         std::min(kMaxSpansPerRecord, f.spans.size() - base);
     const size_t at = begin_record(TelemetryRecordType::kSpans);
-    put_u16(body, uint16_t(count));
+    w.u16(uint16_t(count));
     for (size_t i = 0; i < count; ++i) {
       const SpanRecord& s = f.spans[base + i];
-      put_u16(body, index.at(s.name));
-      put_u8(body, uint8_t(s.ph));
-      put_u32(body, uint32_t(s.pid));
-      put_u32(body, uint32_t(s.tid));
-      put_u64(body, s.ts_ns);
-      put_u64(body, s.dur_ns);
-      put_u32(body, s.pic);
+      w.u16(index.at(s.name));
+      w.u8(uint8_t(s.ph));
+      w.u32(uint32_t(s.pid));
+      w.u32(uint32_t(s.tid));
+      w.u64(s.ts_ns);
+      w.u64(s.dur_ns);
+      w.u32(s.pic);
     }
     end_record(at);
   }
@@ -198,40 +147,42 @@ std::vector<uint8_t> encode_frame(const TelemetryFrame& f) {
 
   std::vector<uint8_t> out;
   out.reserve(kHeaderBytes + body.size());
-  put_u32(out, kTelemetryMagic);
-  put_u16(out, kTelemetryVersion);
-  put_u16(out, 0);  // flags
-  put_u64(out, f.token);
-  put_u32(out, f.seq);
-  put_u16(out, records);
+  ByteWriter h(&out);
+  h.u32(kTelemetryMagic);
+  h.u16(kTelemetryVersion);
+  h.u16(0);  // flags
+  h.u64(f.token);
+  h.u32(f.seq);
+  h.u16(records);
   out.insert(out.end(), body.begin(), body.end());
   return out;
 }
 
 bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
   *out = TelemetryFrame{};
-  Reader r{data, len};
-  if (r.u32() != kTelemetryMagic) return false;
-  if (r.u16() != kTelemetryVersion) return false;
+  ByteReader r({data, len});
+  const uint32_t magic = r.u32();
+  const uint16_t version = r.u16();
   r.u16();  // flags
   out->token = r.u64();
   out->seq = r.u32();
   const uint16_t records = r.u16();
-  if (r.fail) return false;
+  if (!r.ok() || magic != kTelemetryMagic || version != kTelemetryVersion)
+    return false;
 
   std::vector<std::string> strings;
   for (uint16_t rec = 0; rec < records; ++rec) {
     const uint8_t type = r.u8();
     const uint16_t rlen = r.u16();
-    if (r.fail || !r.need(rlen)) return false;
-    Reader pr{r.p + r.off, rlen};
-    r.off += rlen;
+    ByteReader pr(r.bytes(rlen));
+    if (!r.ok()) return false;
     switch (TelemetryRecordType(type)) {
       case TelemetryRecordType::kStrings: {
         const uint16_t count = pr.u16();
-        for (uint16_t i = 0; i < count && !pr.fail; ++i) {
-          const uint8_t slen = pr.u8();
-          strings.emplace_back(pr.bytes(slen));
+        for (uint16_t i = 0; i < count && pr.ok(); ++i) {
+          const auto str = pr.bytes(pr.u8());
+          strings.emplace_back(reinterpret_cast<const char*>(str.data()),
+                               str.size());
         }
         break;
       }
@@ -242,9 +193,9 @@ bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
         h.tiles = pr.u16();
         h.nodes = pr.u16();
         const uint16_t count = pr.u16();
-        for (uint16_t i = 0; i < count && !pr.fail; ++i)
+        for (uint16_t i = 0; i < count && pr.ok(); ++i)
           h.hosted.push_back(pr.u16());
-        if (!pr.fail) out->hello = std::move(h);
+        if (pr.ok()) out->hello = std::move(h);
         break;
       }
       case TelemetryRecordType::kClockProbe: {
@@ -253,7 +204,7 @@ bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
         p.t0 = pr.u64();
         p.reply_to.ip = pr.u32();
         p.reply_to.port = pr.u16();
-        if (!pr.fail) out->probes.push_back(p);
+        if (pr.ok()) out->probes.push_back(p);
         break;
       }
       case TelemetryRecordType::kClockReply: {
@@ -262,7 +213,7 @@ bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
         p.t0 = pr.u64();
         p.t1 = pr.u64();
         p.t2 = pr.u64();
-        if (!pr.fail) out->replies.push_back(p);
+        if (pr.ok()) out->replies.push_back(p);
         break;
       }
       case TelemetryRecordType::kOffset: {
@@ -271,7 +222,7 @@ bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
         o.min_rtt_ns = pr.u64();
         o.samples = pr.u32();
         o.valid = pr.u8();
-        if (!pr.fail) out->offset = o;
+        if (pr.ok()) out->offset = o;
         break;
       }
       case TelemetryRecordType::kMetric: {
@@ -293,7 +244,7 @@ bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
             m.count = pr.u64();
             m.sum = pr.u64();
             const uint8_t nb = pr.u8();
-            for (uint8_t i = 0; i < nb && !pr.fail; ++i) {
+            for (uint8_t i = 0; i < nb && pr.ok(); ++i) {
               const uint8_t idx = pr.u8();
               const uint64_t cnt = pr.u64();
               if (idx >= Histogram::kBuckets) return false;
@@ -304,12 +255,12 @@ bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
           default:
             return false;
         }
-        if (!pr.fail) out->metrics.push_back(std::move(m));
+        if (pr.ok()) out->metrics.push_back(std::move(m));
         break;
       }
       case TelemetryRecordType::kSpans: {
         const uint16_t count = pr.u16();
-        for (uint16_t i = 0; i < count && !pr.fail; ++i) {
+        for (uint16_t i = 0; i < count && pr.ok(); ++i) {
           SpanRecord s;
           const uint16_t name = pr.u16();
           if (name >= strings.size()) return false;
@@ -320,7 +271,7 @@ bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
           s.ts_ns = pr.u64();
           s.dur_ns = pr.u64();
           s.pic = pr.u32();
-          if (!pr.fail) out->spans.push_back(std::move(s));
+          if (pr.ok()) out->spans.push_back(std::move(s));
         }
         break;
       }
@@ -330,9 +281,9 @@ bool decode_frame(const uint8_t* data, size_t len, TelemetryFrame* out) {
       default:
         break;  // unknown record type: skip (forward compatibility)
     }
-    if (pr.fail) return false;
+    if (!pr.ok()) return false;
   }
-  return !r.fail;
+  return r.ok();
 }
 
 // ---------------------------------------------------------------------------

@@ -462,6 +462,21 @@ bool DecoderNode::skipped(int tile) const {
   return it != scratch_.end() && it->second.skip;
 }
 
+std::vector<Outgoing> DecoderNode::drop_sp(int tile, uint32_t pic) {
+  Scratch& sc = scratch_for(tile, pic);
+  sc.have_sp = false;
+  sc.skip = true;
+  sc.sp = SpMsg{};
+  sc.expected.clear();
+  std::set<int> peers(owner_.begin(), owner_.end());
+  peers.erase(-1);
+  peers.erase(self_);
+  const SkipBroadcast skip{pic, uint16_t(tile), opts_.stream};
+  std::vector<Outgoing> out;
+  for (int node : peers) out.push_back(Outgoing{node, true, pack(skip)});
+  return out;
+}
+
 DecoderNode::ExchangeRoute DecoderNode::route_exchange(int dst_tile,
                                                        uint32_t pic) const {
   const auto it = dead_tiles_.find(dst_tile);

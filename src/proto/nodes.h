@@ -417,6 +417,11 @@ class DecoderNode {
   const SpMsg& sp(int tile) const;
   bool have_sp(int tile) const;
   bool skipped(int tile) const;
+  // The host could not parse the kReady sub-picture of (tile, pic): turn
+  // the tile's picture into a skip, as if the splitter had broadcast one,
+  // and return skip notices telling every other decoder node not to wait
+  // for the tile's halos.
+  std::vector<Outgoing> drop_sp(int tile, uint32_t pic);
 
   // Where the halo data this node extracted for `dst_tile` must go. kDrop:
   // nobody serves that picture (the tile is dead and pic precedes its

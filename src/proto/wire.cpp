@@ -31,40 +31,6 @@ void finish_body(const Packed& p, const ByteWriter& w) {
   PDW_CHECK_EQ(w.size(), p.body.size());
 }
 
-// Defensive little-endian reader: every accessor reports failure instead of
-// CHECK-crashing, so decode() survives arbitrary bytes (fuzz_wire.cpp).
-class TryReader {
- public:
-  explicit TryReader(std::span<const uint8_t> data) : data_(data) {}
-
-  bool u8(uint8_t* v) { return read(v); }
-  bool u16(uint16_t* v) { return read(v); }
-  bool u32(uint32_t* v) { return read(v); }
-
-  bool bytes(size_t n, std::span<const uint8_t>* out) {
-    if (n > data_.size() - pos_) return false;
-    *out = data_.subspan(pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  size_t pos() const { return pos_; }
-  size_t remaining() const { return data_.size() - pos_; }
-  bool done() const { return pos_ == data_.size(); }
-
- private:
-  template <typename T>
-  bool read(T* v) {
-    if (sizeof(T) > data_.size() - pos_) return false;
-    std::memcpy(v, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-
-  std::span<const uint8_t> data_;
-  size_t pos_ = 0;
-};
-
 // Every body begins [version][type][stream].
 void put_prefix(ByteWriter* w, MsgType type, uint8_t stream) {
   w->u8(kWireVersion);
@@ -72,10 +38,13 @@ void put_prefix(ByteWriter* w, MsgType type, uint8_t stream) {
   w->u8(stream);
 }
 
-bool take_prefix(TryReader* r, MsgType want, uint8_t* stream) {
-  uint8_t version = 0, type = 0;
-  if (!r->u8(&version) || !r->u8(&type) || !r->u8(stream)) return false;
-  return version == kWireVersion && type == uint8_t(want);
+// Every decode() reads straight through with ByteReader (which latches an
+// overrun and reads zeros after it) and accepts only if done() at the end.
+bool take_prefix(ByteReader* r, MsgType want, uint8_t* stream) {
+  const uint8_t version = r->u8();
+  const uint8_t type = r->u8();
+  *stream = r->u8();
+  return r->ok() && version == kWireVersion && type == uint8_t(want);
 }
 
 constexpr size_t kEntryBytes = kExchangeEntryWireBytes;
@@ -94,17 +63,16 @@ void put_entry(ByteWriter* w, const ExchangeEntry& e) {
       reinterpret_cast<const uint8_t*>(&e.px), sizeof(e.px)));
 }
 
-bool take_entry(TryReader* r, ExchangeEntry* e) {
-  uint8_t op = 0;
-  if (!r->u8(&op)) return false;
+bool take_entry(ByteReader* r, ExchangeEntry* e) {
+  const uint8_t op = r->u8();
   e->tainted = (op & 0x80) != 0;
-  if ((op & 0x7F) != uint8_t(core::MeiOp::kRecv)) return false;
   e->instr.op = core::MeiOp::kRecv;
-  std::span<const uint8_t> px;
-  if (!r->u8(&e->instr.ref) || !r->u16(&e->instr.mb_x) ||
-      !r->u16(&e->instr.mb_y) || !r->u16(&e->instr.peer) ||
-      !r->bytes(sizeof(e->px), &px))
-    return false;
+  e->instr.ref = r->u8();
+  e->instr.mb_x = r->u16();
+  e->instr.mb_y = r->u16();
+  e->instr.peer = r->u16();
+  const auto px = r->bytes(sizeof(e->px));
+  if (!r->ok() || (op & 0x7F) != uint8_t(core::MeiOp::kRecv)) return false;
   std::memcpy(&e->px, px.data(), sizeof(e->px));
   return true;
 }
@@ -187,17 +155,17 @@ namespace {
 
 bool decode_picture(std::span<const uint8_t> data, const mem::Bytes* parent,
                     PictureMsg* out) {
-  TryReader r(data);
-  uint32_t len = 0;
-  std::span<const uint8_t> coded;
-  if (!take_prefix(&r, MsgType::kPicture, &out->stream) ||
-      !r.u32(&out->pic_index) || !r.u16(&out->nsid) || !r.u32(&out->epoch) ||
-      !r.u32(&len) || len != r.remaining())
-    return false;
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kPicture, &out->stream)) return false;
+  out->pic_index = r.u32();
+  out->nsid = r.u16();
+  out->epoch = r.u32();
+  const uint32_t len = r.u32();
   const size_t off = r.pos();
-  if (!r.bytes(len, &coded)) return false;
+  const auto coded = r.bytes(len);
+  if (!r.done()) return false;
   out->coded = parent ? parent->view(off, len) : mem::Bytes::copy_of(coded);
-  return r.done();
+  return true;
 }
 
 }  // namespace
@@ -275,28 +243,30 @@ namespace {
 
 bool decode_sp(std::span<const uint8_t> data, const mem::Bytes* parent,
                SpMsg* out) {
-  TryReader r(data);
-  uint32_t sp_len = 0, mei_count = 0;
-  std::span<const uint8_t> sp;
-  if (!take_prefix(&r, MsgType::kSubPicture, &out->stream) ||
-      !r.u32(&out->pic_index) || !r.u16(&out->tile) || !r.u32(&out->epoch) ||
-      !r.u32(&sp_len))
-    return false;
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kSubPicture, &out->stream)) return false;
+  out->pic_index = r.u32();
+  out->tile = r.u16();
+  out->epoch = r.u32();
+  const uint32_t sp_len = r.u32();
   const size_t off = r.pos();
-  if (!r.bytes(sp_len, &sp) || !r.u32(&mei_count) ||
-      size_t(mei_count) * core::kMeiWireBytes != r.remaining())
-    return false;
-  out->subpicture =
-      parent ? parent->view(off, sp_len) : mem::Bytes::copy_of(sp);
+  const auto sp = r.bytes(sp_len);
+  const uint32_t mei_count = r.u32();
+  if (!r.count(mei_count, core::kMeiWireBytes)) return false;
   out->mei.resize(mei_count);
   for (core::MeiInstruction& i : out->mei) {
-    uint8_t op = 0;
-    if (!r.u8(&op) || op > uint8_t(core::MeiOp::kConceal)) return false;
+    const uint8_t op = r.u8();
+    if (op > uint8_t(core::MeiOp::kConceal)) return false;
     i.op = core::MeiOp(op);
-    if (!r.u8(&i.ref) || !r.u16(&i.mb_x) || !r.u16(&i.mb_y) || !r.u16(&i.peer))
-      return false;
+    i.ref = r.u8();
+    i.mb_x = r.u16();
+    i.mb_y = r.u16();
+    i.peer = r.u16();
   }
-  return r.done();
+  if (!r.done()) return false;
+  out->subpicture =
+      parent ? parent->view(off, sp_len) : mem::Bytes::copy_of(sp);
+  return true;
 }
 
 }  // namespace
@@ -347,9 +317,10 @@ Packed pack(const GoAheadAck& m) {
 }
 
 bool decode(std::span<const uint8_t> data, GoAheadAck* out) {
-  TryReader r(data);
-  return take_prefix(&r, MsgType::kGoAheadAck, &out->stream) &&
-         r.u32(&out->pic_index) && r.done();
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kGoAheadAck, &out->stream)) return false;
+  out->pic_index = r.u32();
+  return r.done();
 }
 
 // --- ExchangeMsg -----------------------------------------------------------
@@ -372,13 +343,13 @@ Packed pack(const ExchangeMsg& m) {
 }
 
 bool decode(std::span<const uint8_t> data, ExchangeMsg* out) {
-  TryReader r(data);
-  uint32_t count = 0;
-  if (!take_prefix(&r, MsgType::kExchange, &out->stream) ||
-      !r.u32(&out->pic_index) || !r.u16(&out->src_tile) ||
-      !r.u16(&out->dst_tile) || !r.u32(&count) ||
-      size_t(count) * kEntryBytes != r.remaining())
-    return false;
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kExchange, &out->stream)) return false;
+  out->pic_index = r.u32();
+  out->src_tile = r.u16();
+  out->dst_tile = r.u16();
+  const uint32_t count = r.u32();
+  if (!r.count(count, kEntryBytes)) return false;
   out->entries.resize(count);
   for (ExchangeEntry& e : out->entries)
     if (!take_entry(&r, &e)) return false;
@@ -398,7 +369,7 @@ Packed pack(const EndOfStream& m) {
 }
 
 bool decode(std::span<const uint8_t> data, EndOfStream* out) {
-  TryReader r(data);
+  ByteReader r(data);
   return take_prefix(&r, MsgType::kEndOfStream, &out->stream) && r.done();
 }
 
@@ -417,9 +388,10 @@ Packed pack(const Heartbeat& m) {
 }
 
 bool decode(std::span<const uint8_t> data, Heartbeat* out) {
-  TryReader r(data);
-  return take_prefix(&r, MsgType::kHeartbeat, &out->stream) &&
-         r.u16(&out->tile) && r.done();
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kHeartbeat, &out->stream)) return false;
+  out->tile = r.u16();
+  return r.done();
 }
 
 // --- Finished --------------------------------------------------------------
@@ -437,9 +409,10 @@ Packed pack(const Finished& m) {
 }
 
 bool decode(std::span<const uint8_t> data, Finished* out) {
-  TryReader r(data);
-  return take_prefix(&r, MsgType::kFinished, &out->stream) &&
-         r.u16(&out->tile) && r.done();
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kFinished, &out->stream)) return false;
+  out->tile = r.u16();
+  return r.done();
 }
 
 // --- DeathNotice -----------------------------------------------------------
@@ -460,10 +433,12 @@ Packed pack(const DeathNotice& m) {
 }
 
 bool decode(std::span<const uint8_t> data, DeathNotice* out) {
-  TryReader r(data);
-  return take_prefix(&r, MsgType::kDeathNotice, &out->stream) &&
-         r.u16(&out->dead_tile) && r.u16(&out->adopter_tile) &&
-         r.u32(&out->resync_pic) && r.done();
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kDeathNotice, &out->stream)) return false;
+  out->dead_tile = r.u16();
+  out->adopter_tile = r.u16();
+  out->resync_pic = r.u32();
+  return r.done();
 }
 
 // --- SkipBroadcast ---------------------------------------------------------
@@ -483,9 +458,11 @@ Packed pack(const SkipBroadcast& m) {
 }
 
 bool decode(std::span<const uint8_t> data, SkipBroadcast* out) {
-  TryReader r(data);
-  return take_prefix(&r, MsgType::kSkipBroadcast, &out->stream) &&
-         r.u32(&out->pic_index) && r.u16(&out->tile) && r.done();
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kSkipBroadcast, &out->stream)) return false;
+  out->pic_index = r.u32();
+  out->tile = r.u16();
+  return r.done();
 }
 
 // --- StreamRequest ---------------------------------------------------------
@@ -506,13 +483,13 @@ Packed pack(const StreamRequest& m) {
 }
 
 bool decode(std::span<const uint8_t> data, StreamRequest* out) {
-  TryReader r(data);
-  uint8_t priority = 0;
-  if (!take_prefix(&r, MsgType::kStreamRequest, &out->stream) ||
-      !r.u16(&out->width_mb) || !r.u16(&out->height_mb) || !r.u16(&out->fps) ||
-      !r.u8(&priority) || !r.done())
-    return false;
-  if (priority > uint8_t(PriorityClass::kPremium)) return false;
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kStreamRequest, &out->stream)) return false;
+  out->width_mb = r.u16();
+  out->height_mb = r.u16();
+  out->fps = r.u16();
+  const uint8_t priority = r.u8();
+  if (!r.done() || priority > uint8_t(PriorityClass::kPremium)) return false;
   out->priority = PriorityClass(priority);
   return true;
 }
@@ -533,12 +510,11 @@ Packed pack(const StreamReply& m) {
 }
 
 bool decode(std::span<const uint8_t> data, StreamReply* out) {
-  TryReader r(data);
-  uint8_t verdict = 0, level = 0;
-  if (!take_prefix(&r, MsgType::kStreamReply, &out->stream) ||
-      !r.u8(&verdict) || !r.u8(&level) || !r.done())
-    return false;
-  if (verdict > uint8_t(AdmissionVerdict::kRenegotiate) ||
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kStreamReply, &out->stream)) return false;
+  const uint8_t verdict = r.u8();
+  const uint8_t level = r.u8();
+  if (!r.done() || verdict > uint8_t(AdmissionVerdict::kRenegotiate) ||
       level > uint8_t(DegradeLevel::kFreeze))
     return false;
   out->verdict = AdmissionVerdict(verdict);
@@ -568,18 +544,17 @@ Packed pack(const PartitionUpdateMsg& m) {
 }
 
 bool decode(std::span<const uint8_t> data, PartitionUpdateMsg* out) {
-  TryReader r(data);
-  uint16_t cols = 0, rows = 0;
-  if (!take_prefix(&r, MsgType::kPartitionUpdate, &out->stream) ||
-      !r.u32(&out->epoch) || !r.u32(&out->apply_from_pic) || !r.u16(&cols) ||
-      !r.u16(&rows) || (size_t(cols) + rows) * 2 != r.remaining())
-    return false;
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kPartitionUpdate, &out->stream)) return false;
+  out->epoch = r.u32();
+  out->apply_from_pic = r.u32();
+  const uint16_t cols = r.u16();
+  const uint16_t rows = r.u16();
+  if (!r.count(size_t(cols) + rows, 2)) return false;
   out->col_cuts_mb.resize(cols);
   out->row_cuts_mb.resize(rows);
-  for (uint16_t& c : out->col_cuts_mb)
-    if (!r.u16(&c)) return false;
-  for (uint16_t& c : out->row_cuts_mb)
-    if (!r.u16(&c)) return false;
+  for (uint16_t& c : out->col_cuts_mb) c = r.u16();
+  for (uint16_t& c : out->row_cuts_mb) c = r.u16();
   // Cut lines must strictly increase from a nonzero start: reject malformed
   // partitions here so state machines never install an invalid geometry.
   const auto increasing = [](const std::vector<uint16_t>& v) {
@@ -611,18 +586,16 @@ Packed pack(const CostReportMsg& m) {
 }
 
 bool decode(std::span<const uint8_t> data, CostReportMsg* out) {
-  TryReader r(data);
-  uint16_t cols = 0, rows = 0;
-  if (!take_prefix(&r, MsgType::kCostReport, &out->stream) ||
-      !r.u32(&out->pic_index) || !r.u16(&cols) || !r.u16(&rows) ||
-      (size_t(cols) + rows) * 4 != r.remaining())
-    return false;
+  ByteReader r(data);
+  if (!take_prefix(&r, MsgType::kCostReport, &out->stream)) return false;
+  out->pic_index = r.u32();
+  const uint16_t cols = r.u16();
+  const uint16_t rows = r.u16();
+  if (!r.count(size_t(cols) + rows, 4)) return false;
   out->col_cost.resize(cols);
   out->row_cost.resize(rows);
-  for (uint32_t& c : out->col_cost)
-    if (!r.u32(&c)) return false;
-  for (uint32_t& c : out->row_cost)
-    if (!r.u32(&c)) return false;
+  for (uint32_t& c : out->col_cost) c = r.u32();
+  for (uint32_t& c : out->row_cost) c = r.u32();
   return r.done();
 }
 

@@ -79,7 +79,8 @@ struct PictureMsg {
 
 // Splitter -> decoder: the tile's sub-picture plus its MEI list. The
 // sub-picture travels as its own serialized bytes (core::SubPicture wire
-// format); the codec validates framing, not sub-picture internals.
+// format); decode() validates framing only, and the receiving decoder host
+// runs core::SubPicture::parse on the bytes.
 struct SpMsg {
   uint32_t pic_index = 0;
   uint16_t tile = 0;
@@ -87,7 +88,7 @@ struct SpMsg {
   // Partition epoch the sub-picture was cut against: the receiving decoder
   // resolves tile rects and MEI peers in *this* epoch's owner map.
   uint32_t epoch = 0;
-  mem::Bytes subpicture;  // core::SubPicture::serialize bytes (view on decode)
+  mem::Bytes subpicture;  // core::SubPicture wire bytes (view on decode)
   std::vector<core::MeiInstruction> mei;
 
   friend bool operator==(const SpMsg&, const SpMsg&) = default;
@@ -339,8 +340,8 @@ std::optional<AnyMsg> decode_any(std::span<const uint8_t> data);
 std::optional<AnyMsg> decode_any(const mem::Bytes& data);
 
 // Accounting constants shared with the lockstep trace / DES cost model: the
-// per-entry wire cost of a halo macroblock exchange (pixels + the 8-byte MEI
-// instruction framing, as serialized by core::serialize_mei).
+// per-entry wire cost of a halo macroblock exchange (pixels + the same 8-byte
+// instruction framing an SpMsg MEI list uses).
 inline constexpr size_t kExchangeEntryWireBytes =
     sizeof(mpeg2::MacroblockPixels) + core::kMeiWireBytes;
 

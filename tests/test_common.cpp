@@ -61,11 +61,39 @@ TEST(Bytes, RoundtripAllTypes) {
   EXPECT_TRUE(r.done());
 }
 
-TEST(Bytes, ReaderOverrunThrows) {
-  std::vector<uint8_t> buf = {1, 2};
+TEST(Bytes, ReaderOverrunIsSticky) {
+  std::vector<uint8_t> buf = {1, 2, 3};
   ByteReader r(buf);
-  r.u16();
-  EXPECT_THROW(r.u8(), CheckError);
+  EXPECT_EQ(r.u16(), 0x0201);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.u32(), 0u);  // overrun: no throw, reads zero
+  EXPECT_FALSE(r.ok());
+  // Failure latches: even a read that would fit now returns 0 / empty.
+  EXPECT_EQ(r.u8(), 0);
+  EXPECT_TRUE(r.bytes(1).empty());
+  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(r.done());
+  EXPECT_EQ(r.pos(), 2u);
+}
+
+TEST(Bytes, ReaderCountRefusesCountsTheBodyCannotHold) {
+  // A 4-byte body claiming 0x7fffffff elements: refused before anything
+  // could be sized from it.
+  const std::vector<uint8_t> body = {0xff, 0xff, 0xff, 0x7f};
+  ByteReader r(body);
+  const uint32_t n = r.u32();
+  EXPECT_EQ(n, 0x7fffffffu);
+  EXPECT_FALSE(r.count(n, 8));
+  EXPECT_FALSE(r.ok());
+
+  const std::vector<uint8_t> two = {2, 0, 0, 0, 0xaa, 0xbb, 0xcc, 0xdd};
+  ByteReader ok(two);
+  EXPECT_TRUE(ok.count(ok.u32(), 2));   // exactly fits
+  ByteReader over(two);
+  EXPECT_FALSE(over.count(over.u32(), 3));  // 6 bytes wanted, 4 left
+  ByteReader zero(two);
+  zero.u32();
+  EXPECT_TRUE(zero.count(0xffffffffu, 0));  // zero-size elements never overrun
 }
 
 TEST(RunningStat, WelfordMoments) {

@@ -11,14 +11,23 @@
 //     recovery latency and fps under faults.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <thread>
 
+#include "core/hosts.h"
 #include "core/lockstep.h"
 #include "core/pipeline.h"
 #include "enc/encoder.h"
 #include "mpeg2/decoder.h"
 #include "net/fault.h"
+#include "net/reliable.h"
+#include "obs/metrics.h"
+#include "proto/wire.h"
 #include "sim/cluster_sim.h"
 #include "video/generator.h"
 #include "wall/assembler.h"
@@ -189,6 +198,108 @@ FtOptions crash_options(const net::FaultInjector* inj, RecoveryPolicy policy) {
   ft.protocol.heartbeat_interval_s = 0.01;
   ft.protocol.heartbeat_timeout_s = 0.25;
   return ft;
+}
+
+// A decoder host fed bytes no honest splitter produces must drop them and
+// carry on, not abort its node. Standing in for every other node, the test
+// sends decoder 0 an undecodable body, then well-framed SpMsgs whose
+// sub-pictures do not parse. The host counts all three in malformed_msgs,
+// skips both pictures, tells every peer decoder not to wait for tile 0's
+// halos, and still acks and finishes the stream.
+TEST(MalformedInput, DecoderHostDropsUndecodableBodiesAndSkipsBadSubPictures) {
+  const proto::Topology topo{kK, geometry().tiles()};
+  const core::RootSplitter root(stream());
+  net::Fabric fabric(topo.nodes());
+  fabric.post_receive(topo.decoder(0));
+  fabric.post_receive(topo.decoder(0));
+  core::HostShared shared;
+  shared.ep_stats.resize(size_t(topo.nodes()));
+  shared.acct.reset(topo.nodes());
+  WallTimer timer;
+  std::mutex display_mu;
+  std::atomic<int> displayed{0};
+  const core::TileDisplayFn on_display =
+      [&](int, const mpeg2::TileFrame&, const TileDisplayInfo& info) {
+        EXPECT_TRUE(info.degraded);
+        ++displayed;
+      };
+  obs::MetricsRegistry reg;
+  const net::ReliableConfig rc;
+  std::thread decoder([&] {
+    proto::DecoderNode::Options dopts;
+    dopts.total_pictures = 2;
+    core::DecoderHost host(&fabric, &shared, &timer, topo, 0, rc, geometry(),
+                           root.stream_info(), on_display, &display_mu, dopts,
+                           &reg);
+    host.run(2);
+  });
+
+  // Every node but decoder 0 is a bare endpoint driven from here.
+  std::map<int, std::unique_ptr<net::ReliableEndpoint>> eps;
+  for (int n = 0; n < topo.nodes(); ++n)
+    if (n != topo.decoder(0))
+      eps[n] = std::make_unique<net::ReliableEndpoint>(&fabric, n, rc);
+  net::ReliableEndpoint& splitter = *eps.at(topo.splitter(0));
+  const auto send_body = [&](const proto::Packed& p) {
+    net::Message m;
+    m.type = int(p.type);
+    m.seq = p.seq;
+    m.aux = p.aux;
+    m.bulk = true;
+    m.payload = p.body;
+    splitter.send(topo.decoder(0), std::move(m));
+  };
+  proto::Packed garbage = proto::pack(proto::SpMsg{});
+  garbage.body = mem::Bytes::copy_of(std::vector<uint8_t>{0xde, 0xad, 0xbe});
+  send_body(garbage);
+  for (uint32_t pic = 0; pic < 2; ++pic) {
+    proto::SpMsg sp;
+    sp.pic_index = pic;
+    sp.tile = 0;
+    sp.subpicture = {1, 2, 3};  // a 3-byte sub-picture body
+    send_body(proto::pack(sp));
+  }
+
+  std::map<int, std::set<uint32_t>> skips;  // peer node -> pictures
+  std::set<uint32_t> acks;
+  bool finished = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (std::chrono::steady_clock::now() < deadline &&
+         !(finished && acks.size() == 2 &&
+           shared.decoders_done.load() == 1)) {
+    for (auto& [node, ep] : eps) {
+      net::Message m;
+      if (ep->recv(&m, 0.001) != net::ReliableEndpoint::Status::kMessage)
+        continue;
+      const auto msg = proto::decode_any(m.payload);
+      ASSERT_TRUE(msg.has_value());
+      if (const auto* sk = std::get_if<proto::SkipBroadcast>(&*msg)) {
+        EXPECT_EQ(sk->tile, 0);
+        skips[node].insert(sk->pic_index);
+      } else if (const auto* ack = std::get_if<proto::GoAheadAck>(&*msg)) {
+        EXPECT_EQ(node, topo.ack_target(ack->pic_index));
+        acks.insert(ack->pic_index);
+      } else if (std::holds_alternative<proto::Finished>(*msg)) {
+        finished = true;
+      }
+    }
+  }
+  fabric.shutdown();
+  decoder.join();
+
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(acks, (std::set<uint32_t>{0, 1}));
+  for (int t = 1; t < topo.tiles; ++t)
+    EXPECT_EQ(skips[topo.decoder(t)], (std::set<uint32_t>{0, 1}))
+        << "peer tile " << t;
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::Labels self{topo.decoder(0), 0};
+  EXPECT_EQ(snap.counter_value(obs::family::kMalformedMsgs, self), 3u);
+  EXPECT_EQ(snap.counter_value(obs::family::kPicturesSkipped, self), 2u);
+  EXPECT_EQ(snap.counter_value(obs::family::kPicturesDecoded, self), 0u);
+  // Picture 0 has no display slot; picture 1 shows one frozen frame.
+  EXPECT_EQ(displayed.load(), 1);
 }
 
 TEST(NodeDeath, AdoptionRecoversAtNextClosedGop) {

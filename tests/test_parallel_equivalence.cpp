@@ -247,6 +247,19 @@ TEST(ParallelEquivalenceOptions, TilesNotAlignedToMacroblocks) {
 // WireAccounting by design; they are the only timing-dependent traffic.)
 // ---------------------------------------------------------------------------
 
+// Every host registers malformed_msgs; a clean run leaves each at zero.
+// Hosts drop what they cannot decode instead of aborting, so a protocol bug
+// would otherwise pass as a quiet skip.
+void expect_no_malformed(const obs::MetricsRegistry& reg, int nodes) {
+  int registered = 0;
+  for (const obs::MetricValue& v : reg.snapshot().values) {
+    if (v.family != obs::family::kMalformedMsgs) continue;
+    ++registered;
+    EXPECT_EQ(v.count, 0u) << "node " << v.labels.node;
+  }
+  EXPECT_EQ(registered, nodes);
+}
+
 TEST(ProtocolEquivalence, ThreadedMatchesLockstepWireForWire) {
   const int w = 256, h = 192, k = 2;
   const auto es = make_stream(w, h, SceneKind::kMovingObjects, 8);
@@ -260,10 +273,13 @@ TEST(ProtocolEquivalence, ThreadedMatchesLockstepWireForWire) {
   });
   const proto::WireAccounting& serial = lockstep.accounting();
 
+  obs::MetricsRegistry reg;
   core::FtOptions ft;
   ft.per_picture_exchange = true;
+  ft.metrics = &reg;
   core::ClusterPipeline threaded(geo, k, es, ft);
   const core::ClusterStats stats = threaded.run(nullptr);
+  expect_no_malformed(reg, threaded.nodes());
 
   // Message counts per type, exactly.
   ASSERT_EQ(stats.wire.counts.size(), serial.counts.size());
@@ -310,9 +326,12 @@ TEST(ProtocolEquivalence, SocketMatchesThreadedWireForWire) {
   core::ClusterPipeline threaded(geo, k, es, ft);
   const core::ClusterStats tstats = threaded.run(nullptr);
 
+  obs::MetricsRegistry reg;
   core::SocketWallOptions so;
   so.per_picture_exchange = true;
+  so.metrics = &reg;
   const core::ClusterStats sstats = core::run_socket_wall(geo, k, es, nullptr, so);
+  expect_no_malformed(reg, threaded.nodes());
 
   ASSERT_EQ(sstats.wire.counts.size(), tstats.wire.counts.size());
   for (const auto& [type, n] : tstats.wire.counts) {
@@ -337,7 +356,9 @@ TEST(ProtocolEquivalence, SocketWallBitExactUnderRealLoss) {
   const auto es = make_stream(w, h, SceneKind::kMovingObjects, 8);
   wall::TileGeometry geo(w, h, 2, 2, 0);
 
+  obs::MetricsRegistry reg;
   core::SocketWallOptions so;
+  so.metrics = &reg;
   so.impair = true;
   so.impair_cfg.seed = 11;
   so.impair_cfg.loss = 0.05;
@@ -367,6 +388,7 @@ TEST(ProtocolEquivalence, SocketWallBitExactUnderRealLoss) {
   EXPECT_GT(stats.ft.transport.retransmits, 0u);
   EXPECT_EQ(stats.ft.transport.abandoned, 0u);
   EXPECT_EQ(stats.ft.degraded_frames, 0u);
+  expect_no_malformed(reg, proto::Topology{k, geo.tiles()}.nodes());
 
   const std::vector<Frame> serial = serial_decode(es);
   ASSERT_EQ(finished.size(), serial.size());
@@ -389,9 +411,9 @@ TEST(ProtocolEquivalence, PooledMatchesUnpooledWireForWire) {
   const auto es = make_stream(w, h, SceneKind::kMovingObjects, 8);
   wall::TileGeometry geo(w, h, 2, 2, 0);
 
-  // Byte-for-byte: the same split sub-picture serialized through the legacy
-  // vector path and the pooled path, then packed through pack() and the
-  // direct-into-body pack_sp().
+  // Byte-for-byte: the same split sub-picture serialized into a pooled
+  // buffer and packed through pack(), against the direct-into-body
+  // pack_sp(); the pooled bytes must also parse back.
   core::RootSplitter root(es);
   core::MacroblockSplitter splitter(geo);
   splitter.set_stream_info(root.stream_info());
@@ -400,10 +422,10 @@ TEST(ProtocolEquivalence, PooledMatchesUnpooledWireForWire) {
   ASSERT_TRUE(sr.status.ok());
   for (int t = 0; t < geo.tiles(); ++t) {
     const core::SubPicture& sub = sr.subpictures[size_t(t)];
-    std::vector<uint8_t> vec;
-    sub.serialize(&vec);
     const mem::Bytes pooled = sub.serialize_pooled();
-    EXPECT_EQ(pooled, mem::Bytes::borrow(vec)) << "tile " << t;
+    core::SubPicture back;
+    ASSERT_TRUE(core::SubPicture::parse(pooled, &back)) << "tile " << t;
+    EXPECT_EQ(back.serialize_pooled(), pooled) << "tile " << t;
 
     proto::SpMsg m;
     m.pic_index = 0;
@@ -472,6 +494,7 @@ TEST(ProtocolEquivalence, ThreadedMatchesLockstepMetricTotals) {
 
   const obs::MetricsSnapshot a = serial_reg.snapshot();
   const obs::MetricsSnapshot b = threaded_reg.snapshot();
+  expect_no_malformed(threaded_reg, threaded.nodes());
 
   const char* const families[] = {
       obs::family::kPicturesDispatched, obs::family::kPicturesSplit,

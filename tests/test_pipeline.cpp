@@ -9,6 +9,7 @@
 #include "core/pipeline.h"
 #include "enc/encoder.h"
 #include "mpeg2/decoder.h"
+#include "obs/metrics.h"
 #include "video/generator.h"
 #include "wall/assembler.h"
 
@@ -48,9 +49,25 @@ struct ThreadedRun {
   ClusterStats stats;
 };
 
+// Every host registers malformed_msgs; a clean run leaves each at zero.
+// Hosts drop what they cannot decode instead of aborting, so a protocol bug
+// would otherwise pass as a quiet skip.
+void expect_no_malformed(const obs::MetricsRegistry& reg, int nodes) {
+  int registered = 0;
+  for (const obs::MetricValue& v : reg.snapshot().values) {
+    if (v.family != obs::family::kMalformedMsgs) continue;
+    ++registered;
+    EXPECT_EQ(v.count, 0u) << "node " << v.labels.node;
+  }
+  EXPECT_EQ(registered, nodes);
+}
+
 ThreadedRun threaded_decode(const std::vector<uint8_t>& es,
                             const wall::TileGeometry& geo, int k) {
-  ClusterPipeline pipeline(geo, k, es);
+  obs::MetricsRegistry reg;
+  core::FtOptions ft;
+  ft.metrics = &reg;
+  ClusterPipeline pipeline(geo, k, es, ft);
   struct Pending {
     std::unique_ptr<wall::WallAssembler> assembler;
     int tiles = 0;
@@ -78,6 +95,7 @@ ThreadedRun threaded_decode(const std::vector<uint8_t>& es,
     ++next;
   }
   EXPECT_TRUE(finished.empty());
+  expect_no_malformed(reg, pipeline.nodes());
   return run;
 }
 

@@ -4,6 +4,12 @@
 // surviving a deterministically impaired loopback path.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <thread>
 #include <vector>
 
@@ -94,6 +100,89 @@ TEST(SocketFabric, RoundTripPreservesEveryHeaderField) {
   EXPECT_EQ(got.crc, 0xdeadbeefu);
   ASSERT_EQ(got.payload.size(), 100u);
   for (uint8_t byte : got.payload.span()) EXPECT_EQ(byte, 0x5c);
+}
+
+// The 48-byte datagram header of a single-fragment message, captured off a
+// plain UDP socket standing in for the peer. Recorded before the header
+// codec moved onto the shared ByteReader/ByteWriter.
+TEST(SocketFabric, DatagramHeaderMatchesRecordedBytes) {
+  SocketFabric a(0, 2);
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(kLoopbackIp);
+  socklen_t len = sizeof(sa);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len), 0);
+  a.set_peers({a.local_endpoint(), Endpoint{kLoopbackIp, ntohs(sa.sin_port)}});
+
+  Message m = make_msg(0, -7, 42, 5, 0x5c);
+  m.aux = 7;
+  m.stream = 3;
+  m.bulk = true;
+  m.tseq = 99;
+  m.crc = 0xdeadbeef;
+  ASSERT_EQ(a.send(0, 1, std::move(m)), SendStatus::kOk);
+  pollfd pfd{fd, POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 2000), 1);
+  uint8_t buf[128];
+  const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+  ::close(fd);
+  ASSERT_EQ(n, 48 + 5);
+  std::string got;
+  for (ssize_t i = 0; i < n; ++i) {
+    got += "0123456789abcdef"[buf[i] >> 4];
+    got += "0123456789abcdef"[buf[i] & 15];
+  }
+  EXPECT_EQ(got,
+            "4657445000000000f9ffffff2a0000000700030163000000efbeadde01000000"
+            "0000010005000000000000008060e10e5c5c5c5c5c");
+}
+
+// A header any sender can forge (its CRC is no secret) must not make the
+// receiver allocate what it announces. Each forged first fragment is
+// dropped and counted in socket_rx_drops before any reassembly buffer
+// exists; a well-formed first fragment still opens one.
+TEST(SocketFabric, ForgedFragmentTotalsAreDroppedBeforeAllocating) {
+  obs::MetricsRegistry reg;
+  SocketFabricConfig cfg;
+  cfg.metrics = &reg;
+  SocketFabric rx(1, 2, cfg);
+  const auto forged = [](uint16_t frag_count, uint32_t total) {
+    DatagramHeader h;
+    h.msg.src = 0;
+    h.msg.type = 1;
+    h.msg_id = 7;
+    h.frag_count = frag_count;
+    h.total = total;
+    std::vector<uint8_t> dgram(kDatagramHeaderBytes + 16, 0x5a);
+    encode_datagram_header(h, dgram.data());
+    return dgram;
+  };
+  const uint64_t frag = uint64_t(kMaxFragmentBytes);
+  // Two fragments cannot carry 4 GiB.
+  rx.ingest(forged(2, 0xffffffffu));
+  // Consistent with frag_count, but above the largest message.
+  rx.ingest(forged(uint16_t(kMaxMessageBytes / frag + 2),
+                   uint32_t(kMaxMessageBytes + 1)));
+  // One past what frag_count fragments can carry.
+  rx.ingest(forged(3, uint32_t(3 * frag + 1)));
+  EXPECT_EQ(reg.snapshot().counter_total(obs::family::kSocketRxDrops), 3u);
+  EXPECT_TRUE(rx.quiescent());
+
+  // The largest honest first fragment opens a partial message.
+  rx.ingest(forged(3, uint32_t(3 * frag)));
+  EXPECT_EQ(reg.snapshot().counter_total(obs::family::kSocketRxDrops), 3u);
+  EXPECT_FALSE(rx.quiescent());
+
+  // The sender refuses to frame a message above the limit at all.
+  SocketFabric tx(0, 2);
+  wire({&tx, &rx});
+  Message huge;
+  huge.type = 1;
+  huge.payload = mem::Bytes::filled(kMaxMessageBytes + 1, 0);
+  EXPECT_THROW(tx.send(0, 1, std::move(huge)), CheckError);
 }
 
 TEST(SocketFabric, LargePayloadIsFragmentedAndReassembled) {

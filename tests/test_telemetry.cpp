@@ -213,6 +213,29 @@ TEST(TelemetryCodec, CorruptMagicRejected) {
   EXPECT_FALSE(obs::decode_frame(wire.data(), wire.size(), &d));
 }
 
+// Byte-exact encoding of full_frame(), recorded before the telemetry codec
+// moved onto the shared ByteReader/ByteWriter. A round trip cannot catch a
+// format change that encoder and decoder make together; this can.
+TEST(TelemetryCodec, EncodingMatchesRecordedBytes) {
+  const std::vector<uint8_t> wire = obs::encode_frame(full_frame());
+  std::string got;
+  for (uint8_t b : wire) {
+    got += "0123456789abcdef"[b >> 4];
+    got += "0123456789abcdef"[b & 15];
+  }
+  EXPECT_EQ(got,
+            "50445754010000003412fecaefbeadde2a0000000a00013b000500107069637475"
+            "7265735f6465636f6465640b71756575655f6465707468067274745f6e73096465"
+            "636f64655f73700a61646f70745f74696c65021000d20400000200040007000200"
+            "0300040005120009000000b3150000000000000100007f7fbb061c0009000000b3"
+            "1500000000000070170000000000007117000000000000071500c01dfeffffffff"
+            "ff15030000000000000600000001030f0000000003000000110000000000000003"
+            "0f00010001fffffffffbffffffffffffff032a000200020400ffff030000000000"
+            "0000581b000000000000020b02000000000000000c010000000000000004400002"
+            "000300580300000001000000e803000000000000fa000000000000000700000004"
+            "00690400000000000000d0070000000000000000000000000000ffffffff080000");
+}
+
 // ---------------------------------------------------------------------------
 // Live exporter -> collector, loopback.
 // ---------------------------------------------------------------------------

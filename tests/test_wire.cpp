@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
+#include "core/subpicture.h"
 #include "proto/wire.h"
 
 namespace pdw::proto {
@@ -255,6 +257,106 @@ TEST(WireReject, AdmissionEnumRanges) {
   EXPECT_FALSE(decode(pr.body, &rep));
 }
 
+// --- Golden bytes ------------------------------------------------------------
+// A round trip cannot catch a format change that pack() and decode() make
+// together. These bodies were recorded from the codec before it moved onto
+// the shared ByteReader and pin the wire bytes of one message of each type.
+
+std::string hex(std::span<const uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (uint8_t b : bytes) {
+    s += kDigits[b >> 4];
+    s += kDigits[b & 15];
+  }
+  return s;
+}
+
+core::SubPicture sample_subpicture() {
+  core::SubPicture sp;
+  sp.info.pic_index = 7;
+  sp.info.type = mpeg2::PicType::P;
+  sp.info.f_code[0][0] = 2;
+  sp.info.f_code[0][1] = 3;
+  sp.info.intra_dc_precision = 1;
+  sp.info.q_scale_type = true;
+  sp.info.temporal_reference = 5;
+  core::SpRun run;
+  run.state.dc_pred[0] = 128;
+  run.state.dc_pred[2] = -3;
+  run.state.pmv[0][1] = -17;
+  run.state.quant_scale_code = 9;
+  run.state.prev_motion_flags = 2;
+  run.skip_bits = 3;
+  run.first_coded_addr = 300;
+  run.num_coded = 4;
+  run.lead_skip_addr = 298;
+  run.lead_skip_count = 2;
+  run.trail_skip_addr = 310;
+  run.trail_skip_count = 1;
+  run.payload = {0xDE, 0xAD, 0xBE, 0xEF};
+  sp.runs.push_back(run);
+  return sp;
+}
+
+TEST(WireGolden, PackedBodiesMatchRecordedBytes) {
+  const core::SubPicture sub = sample_subpicture();
+  const struct {
+    const char* name;
+    Packed packed;
+    const char* want;
+  } cases[] = {
+      {"picture", pack(sample_picture()),
+       "020103290000000200040000000600000000000100abcd"},
+      {"sub-picture", pack(sample_sp()),
+       "020201070000000500020000000500000001020304050200000000010a001400030002"
+       "80040006006070"},
+      {"sub-picture (pack_sp)",
+       pack_sp(7, 5, 1, sub, sample_sp().mei, 2),
+       "0202010700000005000200000043000000070000000202030f0f010100050001000000"
+       "8000000000000000fdffffff0000efff000000000902032c01000004002a0100000200"
+       "36010000010004000000deadbeef0200000000010a00140003000280040006006070"},
+      {"go-ahead", pack(GoAheadAck{123456, 2}), "02030240e20100"},
+      {"end-of-stream", pack(EndOfStream{4}), "020504"},
+      {"heartbeat", pack(Heartbeat{6, 1}), "0206010600"},
+      {"finished", pack(Finished{2, 1}), "0207010200"},
+      {"death-notice", pack(DeathNotice{3, kNoTile, 15, 2}),
+       "0208020300ffff0f000000"},
+      {"skip", pack(SkipBroadcast{8, 1, 3}), "020903080000000100"},
+      {"stream-request",
+       pack(StreamRequest{120, 68, 30, PriorityClass::kPremium, 9}),
+       "020a09780044001e0002"},
+      {"stream-reply",
+       pack(StreamReply{AdmissionVerdict::kRenegotiate, DegradeLevel::kSkipP,
+                        9}),
+       "020b090202"},
+      {"partition-update", pack(sample_partition_update()),
+       "020c010300000018000000030002001e003d005f0028004d00"},
+      {"cost-report", pack(sample_cost_report()),
+       "020d0111000000050003000a0000008403000003000000000000004d00000005000000"
+       "05000000b0040000"},
+  };
+  for (const auto& c : cases)
+    EXPECT_EQ(hex(c.packed.body.span()), c.want) << c.name;
+
+  // Exchange bodies are mostly halo pixels: pin the framing bytes and
+  // require each entry's pixels verbatim right after its 8-byte header.
+  const ExchangeMsg ex = sample_exchange();
+  const Packed p = pack(ex);
+  const std::span<const uint8_t> body = p.body.span();
+  const size_t entry = kExchangeEntryWireBytes;
+  ASSERT_EQ(body.size(), 15 + 2 * entry);
+  EXPECT_EQ(hex(body.first(15)), "020400090000000100020002000000");
+  for (size_t i = 0; i < 2; ++i) {
+    const auto e = body.subspan(15 + i * entry, entry);
+    const char* want = i == 0 ? "81000b000d000100" : "01000c000d000100";
+    EXPECT_EQ(hex(e.first(8)), want) << "entry " << i;
+    EXPECT_EQ(0, std::memcmp(e.data() + 8, &ex.entries[i].px,
+                             sizeof(ex.entries[i].px)))
+        << "entry " << i;
+  }
+}
+
 TEST(WireRoundtrip, DecodeAnyDispatchesEveryType) {
   const auto check = [](const auto& msg) {
     const auto any = decode_any(pack(msg).body);
@@ -340,6 +442,58 @@ TEST(WireReject, ExchangeCountOverflow) {
     // crash or an out-of-bounds read (ASan-checked in CI).
     ExchangeMsg dummy;
     (void)decode(corrupt.body, &dummy);
+  }
+}
+
+// Malformed bodies inside CRC-valid framing. Each must be refused by a
+// false return: never a throw, and never an allocation sized from a forged
+// count (a 0x7fffffff-run vector would throw bad_alloc here).
+TEST(WireReject, MalformedSubPictureBodiesFailWithoutThrowing) {
+  const mem::Bytes good = sample_subpicture().serialize_pooled();
+  const std::vector<uint8_t> whole(good.span().begin(), good.span().end());
+  std::vector<uint8_t> huge_runs = whole;
+  // The u32 run count follows the 14-byte PicInfo.
+  huge_runs[14] = huge_runs[15] = huge_runs[16] = 0xff;
+  huge_runs[17] = 0x7f;
+  std::vector<uint8_t> trailing = whole;
+  trailing.push_back(0);
+  const std::vector<uint8_t> short_payload(whole.begin(), whole.end() - 1);
+  const struct {
+    const char* name;
+    std::vector<uint8_t> sub;
+  } cases[] = {
+      {"3-byte body", {1, 2, 3}},
+      {"huge run count", huge_runs},
+      {"trailing bytes", trailing},
+      {"truncated run payload", short_payload},
+  };
+  core::SubPicture parsed;
+  ASSERT_TRUE(core::SubPicture::parse(good, &parsed));
+  for (const auto& c : cases) {
+    // The SpMsg framing is intact, so decode() accepts it; the sub-picture
+    // parse is what must refuse.
+    SpMsg m = sample_sp();
+    m.subpicture = mem::Bytes::copy_of(c.sub);
+    SpMsg out;
+    ASSERT_TRUE(decode(pack(m).body, &out)) << c.name;
+    EXPECT_NO_THROW(
+        EXPECT_FALSE(core::SubPicture::parse(out.subpicture, &parsed)))
+        << c.name;
+    EXPECT_NO_THROW(EXPECT_FALSE(core::SubPicture::parse(c.sub, &parsed)))
+        << c.name;
+  }
+
+  // An MEI count that disagrees with the bytes behind it is a framing
+  // error: decode() itself refuses, whether the count is short, long or
+  // absurd.
+  const SpMsg m = sample_sp();
+  const Packed p = pack(m);
+  const size_t count_at = 3 + 4 + 2 + 4 + 4 + m.subpicture.size();
+  for (uint32_t bad : {1u, 3u, 0x7fffffffu}) {
+    std::vector<uint8_t> body(p.body.span().begin(), p.body.span().end());
+    std::memcpy(body.data() + count_at, &bad, 4);
+    SpMsg out;
+    EXPECT_NO_THROW(EXPECT_FALSE(decode(body, &out))) << "mei count " << bad;
   }
 }
 
